@@ -1,12 +1,13 @@
 GO ?= go
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak live-smoke bench bench-check
+.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak live-smoke bench bench-check
 
-## check: the PR gate — formatting, vet, and the race-enabled suite.
+## check: the PR gate — formatting, vet, the fault-hook lookup lint, the
+## benchmark harness's own build and tests, and the race-enabled suite.
 ## The longest conformance sweeps are gated behind testing.Short(), so the
 ## race run stays fast; use `make test-full` for the unabridged suite.
-check: fmt vet test-race
+check: fmt vet hooks-lint bench-harness test-race
 
 fmt:
 	@out="$$(gofmt -l $(GOFILES))"; \
@@ -16,6 +17,29 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+## hooks-lint: every QUICBENCH_TEST_* fault hook is declared in
+## internal/faults/hooks.go and read through faults.Hook; an os.Getenv on
+## one anywhere else in non-test code fails the gate.
+hooks-lint:
+	@out="$$(grep -rnE 'Getenv\("QUICBENCH_TEST|Getenv\(Env' --include='*.go' --exclude='*_test.go' . | grep -v '^./internal/faults/hooks.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "fault hooks must be read through faults.Hook (internal/faults/hooks.go):"; echo "$$out"; exit 1; \
+	fi
+
+## bench-harness: benchmark/ builds against the public facade and a few
+## internal packages; a change that breaks its imports must fail here, not
+## in the driver's benchmark run.
+bench-harness:
+	$(GO) vet ./benchmark
+	$(GO) test ./benchmark
+
+## loc: non-blank, non-test Go lines — in the three packages that serve
+## trials remotely (runner, dist, isolate) and module-wide outside
+## benchmark/ — the counts simplification PRs are measured by.
+loc:
+	@echo "runner+dist+isolate: $$(find internal/runner internal/dist internal/isolate -name '*.go' -not -name '*_test.go' | xargs cat | grep -cv '^\s*$$')"
+	@echo "module (excl. benchmark/): $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | grep -cv '^\s*$$')"
 
 build:
 	$(GO) build ./...

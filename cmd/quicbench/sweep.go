@@ -114,6 +114,10 @@ func sweepMain(args []string) int {
 	logger := telemetry.NewLogger(os.Stderr, "sweep: ", *verbose)
 
 	opts := quicbench.SweepOptions{
+		// Always wired: supervision warnings (a resumed journal truncated
+		// to its verified prefix, say) must reach the operator on a plain
+		// sweep too, not only when a fabric or obs flag happens to be set.
+		Logf:                logger.Infof,
 		Workers:             *workers,
 		Retries:             *retries,
 		TrialTimeout:        *trialTO,
@@ -185,7 +189,6 @@ func sweepMain(args []string) int {
 		opts.OnListen = func(addr string) {
 			logger.Infof("coordinator listening on %s", addr)
 		}
-		opts.Logf = logger.Infof
 	}
 	if *obsAddr != "" {
 		opts.ObsAddr = *obsAddr
@@ -196,7 +199,6 @@ func sweepMain(args []string) int {
 		opts.OnObsListen = func(addr string) {
 			logger.Infof("obs listening on %s", addr)
 		}
-		opts.Logf = logger.Infof
 	}
 	if *isolated {
 		opts.OnFallback = func(cell string, err error) {
@@ -207,7 +209,6 @@ func sweepMain(args []string) int {
 		opts.OnFallback = func(cell string, err error) {
 			logger.Infof("live fallback (simulator) for %s: %v", cell, err)
 		}
-		opts.Logf = logger.Infof
 	}
 	// Always registered; the logger's level threshold decides whether the
 	// line renders, so -v is a pure verbosity switch.

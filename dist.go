@@ -2,11 +2,9 @@ package quicbench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -33,9 +31,9 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, is the worker's own registry: trial
 	// counters, in-flight occupancy, and the per-trial latency histogram,
-	// piggybacked to the coordinator on every heartbeat (protocol ≥ 3)
-	// and served locally when ObsAddr is set. Nil with ObsAddr set
-	// creates a private registry.
+	// piggybacked to the coordinator on every heartbeat and served
+	// locally when ObsAddr is set. Nil with ObsAddr set creates a private
+	// registry.
 	Metrics *telemetry.Registry
 	// ObsAddr, when non-empty, serves this worker's own observability
 	// plane (/metrics, /statusz, /healthz, /debug/pprof) for the life of
@@ -54,12 +52,12 @@ type SweepWorker struct {
 }
 
 // NewSweepWorker builds a worker that executes each assignment through
-// core.ExecuteCellSpec — the exact code path the in-process and
-// crash-isolated executors run, which is what makes fabric results
-// bit-identical to local ones.
+// execCell — the exact code path the in-process and crash-isolated
+// executors run, which is what makes fabric results bit-identical to
+// local ones.
 func NewSweepWorker(opts WorkerOptions) *SweepWorker {
-	// Every worker owns a registry: the beat piggyback (protocol ≥ 3)
-	// reports it to the coordinator whether or not ObsAddr is set.
+	// Every worker owns a registry: the beat piggyback reports it to the
+	// coordinator whether or not ObsAddr is set.
 	if opts.Metrics == nil {
 		opts.Metrics = telemetry.NewRegistry()
 	}
@@ -71,9 +69,7 @@ func NewSweepWorker(opts WorkerOptions) *SweepWorker {
 		AuthToken:         opts.AuthToken,
 		Logf:              opts.Logf,
 		Metrics:           opts.Metrics,
-		Exec: func(ctx context.Context, key string, seed uint64, payload json.RawMessage) (json.RawMessage, error) {
-			return core.ExecuteCellSpec(ctx, payload)
-		},
+		Exec:              execCell,
 	}}
 }
 

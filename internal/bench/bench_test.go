@@ -2,8 +2,15 @@ package bench
 
 import (
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"repro/internal/cc"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 func metric(name string, allocs, bytes int64, events, ns float64) Metric {
@@ -93,38 +100,76 @@ func TestReadFileRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+// noopTracer is a telemetry.Tracer that discards every event: with it
+// attached every hook in transport/cc is live, so whatever the hook sites
+// themselves allocate (a closure, an interface box, a fmt call) shows up
+// against the nil-tracer run, and nothing a real sink would add does.
+type noopTracer struct{}
+
+func (noopTracer) MetricsUpdated(sim.Time, int, telemetry.Metrics)             {}
+func (noopTracer) StateChanged(sim.Time, int, string, string, string)          {}
+func (noopTracer) CongestionEvent(sim.Time, int, string, telemetry.Congestion) {}
+func (noopTracer) PacketsLost(sim.Time, int, telemetry.LossSample)             {}
+func (noopTracer) SpuriousLoss(sim.Time, int, sim.Time)                        {}
+func (noopTracer) Rollback(sim.Time, int, int, int)                            {}
+func (noopTracer) PTOExpired(sim.Time, int, int)                               {}
+func (noopTracer) TransportSummary(sim.Time, int, telemetry.TransportStats)    {}
+func (noopTracer) TrialSummary(sim.Time, telemetry.TrialSummary)               {}
+
 // TestDisabledTracerOverhead: the telemetry hooks in transport/cc are
-// nil-guarded; with no tracer attached they must add under 1% allocs/op to
-// the single-flow trials relative to the committed baseline. A fresh
-// measurement against BENCH_sim.json is the guard — if a future hook
-// allocates on the disabled path (a closure, an interface box, a fmt call),
-// this fails before the 10% bench gate would notice.
+// nil-guarded and pass their events by value, so the hook sites must cost
+// no allocations of their own. An interleaved A/B in this process — A the
+// single-flow trial with a nil tracer (the path every production trial
+// without -trace takes), B the same trial with every hook live into a
+// no-op sink — compares medians over abRounds rounds each. The tolerance
+// is A's own measured interquartile spread, floored at 1%: nothing is read
+// from a file another host wrote.
+//
+// netem's packet pool is a sync.Pool, so which recycled packet (with or
+// without ACK-range capacity) a Get returns depends on GC timing and on
+// which P the goroutine sits on; that alone moves allocs/op by ±3% between
+// identical runs. The measured window therefore runs on one P with the
+// collector parked, where allocs/op is a pure function of the seed and the
+// spread is normally zero — the tolerance is there for the host on which
+// it is not.
 func TestDisabledTracerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures real 5s-virtual-time trials; skipped in -short")
 	}
-	base, err := ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	want := make(map[string]Metric)
-	for _, m := range base.Benchmarks {
-		want[m.Name] = m
-	}
-	for _, bm := range Suite() {
-		if !strings.HasPrefix(bm.Name, "single_flow_") || strings.HasSuffix(bm.Name, "_traced") {
-			continue
+	const abRounds = 9
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name string
+		ctrl func() cc.Controller
+	}{
+		{"single_flow_reno", func() cc.Controller { return cc.NewReno(cc.Config{MSS: 1200}) }},
+		{"single_flow_cubic", func() cc.Controller { return cc.NewCubic(cc.Config{MSS: 1200, HyStart: true}) }},
+		{"single_flow_bbr", func() cc.Controller { return cc.NewBBR(cc.Config{MSS: 1200}) }},
+	} {
+		sides := [2]Benchmark{
+			{Name: c.name + "/nil", Run: func() uint64 { return singleFlowTraced(c.ctrl, nil) }},
+			{Name: c.name + "/noop", Run: func() uint64 { return singleFlowTraced(c.ctrl, noopTracer{}) }},
 		}
-		b, ok := want[bm.Name]
-		if !ok || b.AllocsPerOp <= 0 {
-			t.Fatalf("baseline has no allocs_per_op for %s", bm.Name)
+		var allocs [2][]float64
+		for round := 0; round <= abRounds; round++ {
+			for side, bm := range sides {
+				m := Measure(bm, 0, 1)
+				if round > 0 { // round 0 warms the packet pool for both sides
+					allocs[side] = append(allocs[side], float64(m.AllocsPerOp))
+				}
+			}
 		}
-		m := Measure(bm, 1, 3)
-		if limit := float64(b.AllocsPerOp) * 1.01; float64(m.AllocsPerOp) > limit {
-			t.Errorf("%s: disabled-tracer allocs/op = %d, want <= %.0f (baseline %d +1%%)",
-				bm.Name, m.AllocsPerOp, limit, b.AllocsPerOp)
+		a, b := stats.Median(allocs[0]), stats.Median(allocs[1])
+		tol := stats.Quantile(allocs[0], 0.75) - stats.Quantile(allocs[0], 0.25)
+		if floor := 0.01 * a; tol < floor {
+			tol = floor
+		}
+		if b-a > tol {
+			t.Errorf("%s: live-hook allocs/op median %.0f vs nil-tracer median %.0f: +%.0f exceeds the tolerance %.1f (nil-tracer IQR, 1%% floor)\nnil  %v\nnoop %v",
+				c.name, b, a, b-a, tol, allocs[0], allocs[1])
 		} else {
-			t.Logf("%s: allocs/op %d vs baseline %d", bm.Name, m.AllocsPerOp, b.AllocsPerOp)
+			t.Logf("%s: allocs/op median nil %.0f, live hooks %.0f (tolerance %.1f)", c.name, a, b, tol)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,34 +12,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestObservedTrialOverhead: the observability plane's claim is that
-// watching a campaign is free at the trial level. The sweep runner's
-// per-trial instrumentation — one latency-histogram observation plus a
-// counter bump, the exact seam RunSweep wires when -obs-addr or
-// -progress is on — must add under 1% allocs/op to the single-flow
-// trials relative to the committed baseline, mirroring
-// TestDisabledTracerOverhead's gate on the disabled-tracer path.
+// TestObservedTrialOverhead: the sweep runner's per-trial instrumentation
+// — one latency-histogram observation plus a counter bump, the exact seam
+// RunSweep wires when -obs-addr or -progress is on — feeds the registry a
+// live obs server renders: after instrumented single-flow trials the
+// /metrics scrape must expose the latency histogram family with every
+// trial counted.
 //
-// The /metrics scraper itself runs off the trial's critical path (its
-// handler allocates on its own goroutine, and whole-process MemStats
-// cannot attribute those to one side), so this guard measures the part
-// that rides the hot path: the instrumentation. Scrape concurrency
-// safety is TestScrapeUnderLoad's job in internal/obs; here a live
-// server is scraped after the measured window to prove the registry the
-// trials fed is the one the exposition renders.
+// That the instrumentation itself is free is pinned exactly elsewhere:
+// Observe/Inc/Add are zero-alloc by telemetry.TestInstrumentationAllocFree,
+// and the /metrics handler allocates on its own goroutine, off the trial's
+// path (scrape concurrency safety is TestScrapeUnderLoad's job in
+// internal/obs).
 func TestObservedTrialOverhead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("measures real 5s-virtual-time trials; skipped in -short")
+		t.Skip("runs real 5s-virtual-time trials; skipped in -short")
 	}
-	base, err := ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	want := make(map[string]Metric)
-	for _, m := range base.Benchmarks {
-		want[m.Name] = m
-	}
-
 	reg := telemetry.NewRegistry()
 	srv := &obs.Server{Addr: "127.0.0.1:0", Registry: reg}
 	addr, err := srv.Start()
@@ -51,34 +38,17 @@ func TestObservedTrialOverhead(t *testing.T) {
 
 	latHist := reg.Histogram("sweep.trial_latency_us.inproc")
 	trials := reg.Counter("worker.trials_total")
-	measured := 0
 	for _, bm := range Suite() {
 		if !strings.HasPrefix(bm.Name, "single_flow_") || strings.HasSuffix(bm.Name, "_traced") {
 			continue
 		}
-		b, ok := want[bm.Name]
-		if !ok || b.AllocsPerOp <= 0 {
-			t.Fatalf("baseline has no allocs_per_op for %s", bm.Name)
-		}
-		inner := bm.Run
-		instrumented := Benchmark{Name: bm.Name, Run: func() uint64 {
-			start := time.Now()
-			n := inner()
-			latHist.ObserveDuration(time.Since(start))
-			trials.Inc()
-			return n
-		}}
-		m := Measure(instrumented, 1, 3)
-		measured++
-		if limit := float64(b.AllocsPerOp) * 1.01; float64(m.AllocsPerOp) > limit {
-			t.Errorf("%s: observed-trial allocs/op = %d, want <= %.0f (baseline %d +1%%)",
-				bm.Name, m.AllocsPerOp, limit, b.AllocsPerOp)
-		} else {
-			t.Logf("%s: allocs/op %d vs baseline %d", bm.Name, m.AllocsPerOp, b.AllocsPerOp)
-		}
+		start := time.Now()
+		bm.Run()
+		latHist.ObserveDuration(time.Since(start))
+		trials.Inc()
 	}
-	if measured == 0 {
-		t.Fatal("no single-flow benchmarks measured")
+	if latHist.Count() == 0 {
+		t.Fatal("no single-flow benchmarks ran")
 	}
 
 	// The registry the trials observed is live on /metrics: the scrape

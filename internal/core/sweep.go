@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -169,42 +168,20 @@ func SweepTrials(cells []SweepCell, deadline sim.Time, topts *TraceOptions) []ru
 	return out
 }
 
-// SweepConfig tunes a supervised conformance sweep.
+// SweepConfig tunes a supervised conformance sweep: the supervisor's own
+// configuration (worker pool, retry budget, jitter seed, executor,
+// observers — see runner.Config; Journal and Done are owned by Checkpoint
+// and Resume here) plus what only a conformance sweep has.
 type SweepConfig struct {
-	// Workers bounds the pool (<= 0 selects 1).
-	Workers int
-	// MaxAttempts is the per-cell retry budget (<= 0 selects 3).
-	MaxAttempts int
+	runner.Config
 	// TrialDeadline, when positive, caps each underlying trial's virtual
 	// clock (faults.ErrDeadline on excess).
 	TrialDeadline sim.Time
-	// Seed seeds the deterministic retry-jitter stream.
-	Seed uint64
 	// Checkpoint is the JSONL journal path ("" disables checkpointing).
 	Checkpoint string
 	// Resume replays the journal at Checkpoint and re-executes only
 	// missing, failed, or skipped cells.
 	Resume bool
-	// OrderedJournal flushes checkpoint records in cell input order
-	// regardless of worker count (see runner.Config.OrderedJournal) — the
-	// distributed fabric sets it so a multi-worker journal stays
-	// byte-identical to a single-process one.
-	OrderedJournal bool
-	// Warnf observes non-fatal supervision warnings, e.g. a torn journal
-	// tail truncated on resume (see runner.Config.Warnf).
-	Warnf func(format string, args ...any)
-	// OnRecord observes every cell record as it completes (serialized).
-	OnRecord func(runner.Record)
-	// OnTrialStart observes each attempt just before it executes (never for
-	// journal replays); worker is the pool index (see runner.Config).
-	OnTrialStart func(key string, worker, attempt int)
-	// OnRetry observes each failed attempt about to be retried, with the
-	// backoff delay about to be slept (see runner.Config).
-	OnRetry func(key string, attempt int, err error, backoff time.Duration)
-	// Executor, when non-nil, runs each trial attempt (e.g. the
-	// crash-isolating subprocess executor from internal/isolate); nil
-	// selects the in-process executor.
-	Executor runner.TrialExecutor
 	// Trace enables per-trial qlog tracing (see TraceOptions); the zero
 	// value disables it.
 	Trace TraceOptions
@@ -220,19 +197,8 @@ func RunSweep(ctx context.Context, cfg SweepConfig, cells []SweepCell) (*runner.
 		topts = &cfg.Trace
 	}
 	trials := SweepTrials(cells, cfg.TrialDeadline, topts)
-	rcfg := runner.Config{
-		Workers:        cfg.Workers,
-		MaxAttempts:    cfg.MaxAttempts,
-		Seed:           cfg.Seed,
-		OrderedJournal: cfg.OrderedJournal,
-		Warnf:          cfg.Warnf,
-		OnRecord:       cfg.OnRecord,
-		OnTrialStart:   cfg.OnTrialStart,
-		OnRetry:        cfg.OnRetry,
-		Executor:       cfg.Executor,
-	}
 	if cfg.Checkpoint == "" {
-		return runner.Run(ctx, rcfg, trials)
+		return runner.Run(ctx, cfg.Config, trials)
 	}
-	return runner.RunCheckpointed(ctx, rcfg, trials, cfg.Checkpoint, cfg.Resume)
+	return runner.RunCheckpointed(ctx, cfg.Config, trials, cfg.Checkpoint, cfg.Resume)
 }

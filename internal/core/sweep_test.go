@@ -131,7 +131,7 @@ func TestSweepResumeBitIdentical(t *testing.T) {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
 	dir := t.TempDir()
-	cfg := SweepConfig{Workers: 1, Seed: 9, Checkpoint: dir + "/full.jsonl"}
+	cfg := SweepConfig{Config: runner.Config{Workers: 1, Seed: 9}, Checkpoint: dir + "/full.jsonl"}
 	full, err := RunSweep(context.Background(), cfg, cells)
 	if err != nil {
 		t.Fatalf("uninterrupted sweep: %v", err)
@@ -187,7 +187,7 @@ func TestSweepTimeoutCellIsTypedFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunSweep(context.Background(), SweepConfig{
-		MaxAttempts:   2,
+		Config:        runner.Config{MaxAttempts: 2},
 		TrialDeadline: 100 * sim.Millisecond,
 	}, cells)
 	if err != nil {

@@ -4,40 +4,20 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-)
 
-// Network-chaos hooks for the coordinator↔worker path, applied by the
-// worker to its dialed connection. Unlike the assignment-keyed hooks
-// (crash, blackhole, diverge) these act on raw bytes, below the frame
-// layer, so they exercise exactly what a flaky NIC or mid-path box does.
-const (
-	// EnvDistLatency ("50ms"): random delays up to the given duration are
-	// injected before some writes — heartbeats and results arrive late and
-	// jittered, probing the reaper's stall boundary.
-	EnvDistLatency = "QUICBENCH_TEST_DIST_LATENCY"
-	// EnvDistCorrupt ("25"): every Nth write has one byte flipped — the
-	// frame CRC must catch every one, and the coordinator must classify
-	// the connection as a worker fault, not poison the journal.
-	EnvDistCorrupt = "QUICBENCH_TEST_DIST_CORRUPT"
-	// EnvDistPartition ("40:2s"): after N writes the outbound direction
-	// silently drops everything for the duration — an asymmetric
-	// partition (reads still work) only the wall-clock reaper can detect.
-	EnvDistPartition = "QUICBENCH_TEST_DIST_PARTITION"
-	// EnvDistTorn ("30"): on the Nth write only half the bytes are sent
-	// and the connection is severed — a torn frame the reader must reject
-	// as truncated, never decode.
-	EnvDistTorn = "QUICBENCH_TEST_DIST_TORN"
+	"repro/internal/faults"
 )
 
 // chaosConn wraps a net.Conn and injects write-path failures: latency
 // spikes, byte corruption, an asymmetric outbound partition, and a torn
-// final write. All state is seeded from the worker name, so a given
-// worker's chaos schedule is reproducible run to run.
+// final write — the faults.EnvDist{Latency,Corrupt,Partition,Torn} hooks.
+// Unlike the assignment-keyed hooks (crash, blackhole, diverge) these act
+// on raw bytes, below the frame layer. All state is seeded from the worker
+// name, so a given worker's chaos schedule is reproducible run to run.
 type chaosConn struct {
 	net.Conn
 
@@ -53,14 +33,13 @@ type chaosConn struct {
 	tornAt   int // write number to tear and sever on (0 = off)
 }
 
-// chaosFromEnv wraps conn according to the QUICBENCH_TEST_DIST_* network
-// hooks, seeding the schedule from name. With no hooks set it returns
-// conn untouched.
+// chaosFromEnv wraps conn according to the network fault hooks, seeding
+// the schedule from name. With no hooks set it returns conn untouched.
 func chaosFromEnv(conn net.Conn, name string) net.Conn {
-	latency, _ := time.ParseDuration(os.Getenv(EnvDistLatency))
-	corrupt, _ := strconv.Atoi(os.Getenv(EnvDistCorrupt))
-	torn, _ := strconv.Atoi(os.Getenv(EnvDistTorn))
-	partAt, partFor := parsePartition(os.Getenv(EnvDistPartition))
+	latency, _ := time.ParseDuration(faults.Hook(faults.EnvDistLatency))
+	corrupt, _ := strconv.Atoi(faults.Hook(faults.EnvDistCorrupt))
+	torn, _ := strconv.Atoi(faults.Hook(faults.EnvDistTorn))
+	partAt, partFor := parsePartition(faults.Hook(faults.EnvDistPartition))
 	if latency <= 0 && corrupt <= 0 && torn <= 0 && partAt <= 0 {
 		return conn
 	}

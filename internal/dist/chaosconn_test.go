@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // pipeConn returns a connected TCP pair on loopback (net.Pipe has no
@@ -41,7 +43,7 @@ func TestChaosFromEnvNoHooksIsTransparent(t *testing.T) {
 
 func TestChaosCorruptFlipsEveryNthWrite(t *testing.T) {
 	a, b := pipeConn(t)
-	t.Setenv(EnvDistCorrupt, "2")
+	t.Setenv(faults.EnvDistCorrupt, "2")
 	cc := chaosFromEnv(a, "w-chaos")
 	if cc == a {
 		t.Fatal("corrupt hook did not wrap the conn")
@@ -78,7 +80,7 @@ func TestChaosCorruptFlipsEveryNthWrite(t *testing.T) {
 
 func TestChaosPartitionDropsThenHeals(t *testing.T) {
 	a, b := pipeConn(t)
-	t.Setenv(EnvDistPartition, "2:300ms")
+	t.Setenv(faults.EnvDistPartition, "2:300ms")
 	cc := chaosFromEnv(a, "w-chaos")
 	if _, err := cc.Write([]byte("one")); err != nil {
 		t.Fatal(err)
@@ -108,7 +110,7 @@ func TestChaosPartitionDropsThenHeals(t *testing.T) {
 
 func TestChaosTornWriteSeversConnection(t *testing.T) {
 	a, b := pipeConn(t)
-	t.Setenv(EnvDistTorn, "1")
+	t.Setenv(faults.EnvDistTorn, "1")
 	cc := chaosFromEnv(a, "w-chaos")
 	if _, err := cc.Write([]byte("0123456789")); err == nil {
 		t.Fatal("torn write reported success")

@@ -360,8 +360,7 @@ type WorkerMetrics struct {
 
 // FleetMetrics returns the latest metric snapshot per worker name,
 // sorted by name — the fleet-aggregation source for /metrics. Departed
-// workers keep their final snapshot for the life of the campaign;
-// version-2 workers never appear (they send bare beats).
+// workers keep their final snapshot for the life of the campaign.
 func (c *Coordinator) FleetMetrics() []WorkerMetrics {
 	c.mu.Lock()
 	c.init()
@@ -452,19 +451,6 @@ func (c *Coordinator) ExecuteTrial(ctx context.Context, tr runner.Trial, attempt
 	}
 }
 
-// digestsVerify checks a result's integrity claims: the worker's spec
-// digest must match the payload the coordinator actually sent, and the
-// result digest must cover the result bytes that arrived.
-func digestsVerify(payload json.RawMessage, res *resultMsg) bool {
-	if res.SpecDigest != digestOf(payload) {
-		return false
-	}
-	if res.Result != nil && res.ResultDigest != digestOf(res.Result) {
-		return false
-	}
-	return true
-}
-
 // shouldAudit deterministically selects AuditFraction of trial keys, so
 // an audit schedule reproduces run to run.
 func (c *Coordinator) shouldAudit(key string) bool {
@@ -545,20 +531,10 @@ func (c *Coordinator) runLocal(ctx context.Context, tr runner.Trial, attempt int
 	return ex.ExecuteTrial(ctx, tr, attempt)
 }
 
-// classify lowers a worker's result message to the executor contract,
-// whitelisting the failure kind like the isolation executor does.
+// classify counts a completed remote attempt and lowers its result.
 func (c *Coordinator) classify(tr runner.Trial, attempt int, res *resultMsg) (json.RawMessage, *runner.TrialError) {
 	c.remote.Add(1)
-	if res.Err == "" {
-		return res.Result, nil
-	}
-	kind := runner.FailKind(res.Kind)
-	switch kind {
-	case runner.FailPanic, runner.FailTimeout, runner.FailInterrupted, runner.FailError:
-	default:
-		kind = runner.FailError
-	}
-	return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: kind, Err: errors.New(res.Err)}
+	return lowerResult(tr.Key, attempt, res)
 }
 
 // acquire blocks until a healthy worker has a free slot (registering the
@@ -615,11 +591,7 @@ func (c *Coordinator) acquire(ctx context.Context, key string, excluded map[stri
 // notification, or cancellation.
 func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, p *pendingTrial, tr runner.Trial, attempt int, payload json.RawMessage) dispatchOutcome {
 	start := time.Now()
-	err := w.out.write(wireMsg{Type: msgAssign, Assign: &assignMsg{
-		Key: tr.Key, Seed: tr.Seed, Attempt: attempt, Payload: payload,
-		SpecDigest: digestOf(payload),
-	}})
-	if err != nil {
+	if err := w.out.write(newAssign(tr, attempt, payload)); err != nil {
 		// The connection is already broken; let the read loop's death
 		// path fan out the loss (it will signal p.ch), but make sure the
 		// worker goes down even if the reader is slow to notice.
@@ -675,9 +647,8 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	}
 	h := *m.Hello
 	out := &msgWriter{w: conn}
-	if h.Proto != protoName || h.Version < protoVersionMin || h.Version > protoVersion {
-		_ = out.write(wireMsg{Type: msgBye, Bye: &byeMsg{Code: byeProtoMismatch, Reason: fmt.Sprintf(
-			"protocol mismatch: got %s/%d, want %s/%d..%d", h.Proto, h.Version, protoName, protoVersionMin, protoVersion)}})
+	if bye := checkHello(h); bye != nil {
+		_ = out.write(wireMsg{Type: msgBye, Bye: bye})
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -759,9 +730,9 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		w.lastBeat.Store(time.Now().UnixNano())
 		switch m.Type {
 		case msgBeat:
-			// Liveness, plus (proto ≥ 3) the worker's metric snapshot.
-			// Cached by name, not connection, so a departed worker's final
-			// numbers stay in the fleet aggregate for the campaign.
+			// Liveness, plus the worker's metric snapshot. Cached by name,
+			// not connection, so a departed worker's final numbers stay in
+			// the fleet aggregate for the campaign.
 			if m.Beat != nil {
 				c.mu.Lock()
 				c.beatCache[w.name] = m.Beat

@@ -9,11 +9,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // echoResult is a deterministic trial payload: a pure function of the
@@ -75,9 +78,28 @@ func startCoordinator(t *testing.T, c *Coordinator) string {
 }
 
 // startWorker runs w until the campaign ends, failing the test on an
-// unexpected exit error. Returns a channel closed when Run returns.
+// unexpected exit error. Returns a channel closed when Run returns. The
+// worker can outlive the test by a moment (the coordinator's closing bye
+// races the test's return), so its Logf is gated shut at cleanup — logging
+// into a finished t panics the whole package.
 func startWorker(t *testing.T, ctx context.Context, w *Worker, wantErr error) <-chan struct{} {
 	t.Helper()
+	if logf := w.Logf; logf != nil {
+		var mu sync.RWMutex
+		over := false
+		w.Logf = func(format string, args ...any) {
+			mu.RLock()
+			defer mu.RUnlock()
+			if !over {
+				logf(format, args...)
+			}
+		}
+		t.Cleanup(func() {
+			mu.Lock()
+			over = true
+			mu.Unlock()
+		})
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -261,7 +283,14 @@ func TestWorkerDrainFinishesInflight(t *testing.T) {
 		res, rerr = runner.Run(ctx, runner.Config{Executor: coord}, echoTrials(1))
 	}()
 	<-started
-	w.Drain() // drain lands while the trial is mid-flight
+	w.Drain()
+	// Hold the trial until the coordinator has seen the announcement, so
+	// the drain really does land while the trial is mid-flight.
+	for deadline := time.Now().Add(5 * time.Second); coord.Stats().Drains == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never saw the drain announcement")
+		}
+	}
 	close(release)
 	<-ran
 	if rerr != nil {
@@ -432,6 +461,70 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 	}
 }
 
+// A worker from the retired protocol generation (hello version 2) gets the
+// typed proto-mismatch bye naming both versions and is never registered;
+// and a Worker that receives that bye returns ErrProtocol from Run — it
+// does not re-dial under another version.
+func TestProtoV2HelloRejected(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf}
+	addr := startCoordinator(t, coord)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	out := &msgWriter{w: conn}
+	if err := out.write(wireMsg{Type: msgHello, Hello: &helloMsg{
+		Proto: protoName, Version: 2, Name: "legacy", Slots: 1,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMsg(conn)
+	if err != nil || m.Type != msgBye || m.Bye == nil {
+		t.Fatalf("v2 hello: got (%v, %v), want a bye", m.Type, err)
+	}
+	if m.Bye.Code != byeProtoMismatch || !strings.Contains(m.Bye.Reason, "quicbench-dist/2") ||
+		!strings.Contains(m.Bye.Reason, "quicbench-dist/3") {
+		t.Errorf("v2 hello: bye %+v, want code %q naming both versions", m.Bye, byeProtoMismatch)
+	}
+	if st := coord.Stats(); st.Joins != 0 {
+		t.Errorf("v2 worker joined the fleet: %+v", st)
+	}
+
+	// The worker side: a peer that answers every hello with that bye sees
+	// exactly one dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			c, aerr := ln.Accept()
+			if aerr != nil {
+				return
+			}
+			dials.Add(1)
+			if _, rerr := readMsg(c); rerr == nil {
+				_ = (&msgWriter{w: c}).write(wireMsg{Type: msgBye, Bye: m.Bye})
+			}
+			c.Close()
+		}
+	}()
+	w := &Worker{Addr: ln.Addr().String(), Name: "modern", Exec: echoExec,
+		ReconnectBase: 5 * time.Millisecond, Logf: t.Logf}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); !errors.Is(err, ErrProtocol) {
+		t.Errorf("Run after a proto-mismatch bye returned %v, want ErrProtocol", err)
+	}
+	time.Sleep(50 * time.Millisecond) // several ReconnectBase periods: a re-dial would land
+	if n := dials.Load(); n != 1 {
+		t.Errorf("worker dialed %d times, want 1 (no downgrade re-dial)", n)
+	}
+}
+
 // FleetStats exposes liveness rows for both connected and departed
 // workers — the telemetry surface behind the status file's fleet section.
 func TestFleetStatsLifecycle(t *testing.T) {
@@ -461,5 +554,68 @@ func TestFleetStatsLifecycle(t *testing.T) {
 			t.Fatalf("departed worker never showed as drained: %+v", stats)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBeatPiggybackAggregates: worker metrics ride
+// beats, land in the coordinator's per-worker cache, and merge into a
+// fleet view whose trial counter matches the campaign's record count.
+func TestBeatPiggybackAggregates(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf, Metrics: telemetry.NewRegistry()}
+	addr := startCoordinator(t, coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	for i, reg := range regs {
+		w := &Worker{Addr: addr, Name: []string{"wa", "wb"}[i], Slots: 2, Exec: echoExec,
+			HeartbeatInterval: 20 * time.Millisecond, Logf: t.Logf, Metrics: reg}
+		startWorker(t, ctx, w, nil)
+	}
+	waitFleet(t, coord, 2)
+
+	trials := echoTrials(10)
+	res, err := runner.Run(ctx, runner.Config{Workers: 4, Executor: coord}, trials)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Records) != 10 {
+		t.Fatalf("records = %d, want 10", len(res.Records))
+	}
+
+	// Post-result beats make the cache converge promptly; poll briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var total int64
+		for _, wm := range coord.FleetMetrics() {
+			for _, s := range wm.Samples {
+				if s.Name == "worker.trials_total" {
+					total += s.Value
+				}
+			}
+		}
+		if total == 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet-summed worker.trials_total = %d, want 10", total)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Histograms merge exactly: fleet latency count equals trial count.
+	var merged telemetry.HistogramSnapshot
+	for _, wm := range coord.FleetMetrics() {
+		for _, h := range wm.Hists {
+			if h.Name == "worker.trial_latency_us" {
+				merged = merged.Merge(h)
+			}
+		}
+	}
+	if merged.Count != 10 {
+		t.Errorf("merged latency histogram count = %d, want 10", merged.Count)
+	}
+	if merged.Quantile(0.99) <= 0 {
+		t.Errorf("merged p99 = %d, want > 0", merged.Quantile(0.99))
 	}
 }

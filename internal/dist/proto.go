@@ -1,7 +1,9 @@
 // Package dist is the distributed sweep fabric: a coordinator that
-// shards supervised trials across TCP-connected workers, speaking the
-// same length-prefixed JSON frame protocol the crash-isolation layer
-// uses on its child pipes (internal/dist/frame).
+// shards supervised trials across TCP-connected workers, speaking a
+// hello/assign/beat/result/drain/bye protocol over length-prefixed JSON
+// frames (internal/dist/frame). The crash-isolation layer's child is the
+// same worker on a stdio pipe (Worker.Serve), driven by its parent through
+// Exchange.
 //
 // The coordinator sits behind the runner.TrialExecutor seam, so the
 // existing supervisor owns retries, journaling, and interruption exactly
@@ -33,17 +35,13 @@ import (
 )
 
 // Protocol identity, validated in the hello handshake so a worker from a
-// different build generation never silently exchanges trials. Version 2
-// adds result-integrity digests on assign/result and the optional
-// shared-secret HMAC on hello. Version 3 adds the metric snapshot
-// piggybacked on beat frames (fleet observability); it is otherwise
-// wire-compatible with 2, so the coordinator accepts both — a v2 worker
-// simply contributes no metrics — and a v3 worker turned away by a v2
-// coordinator re-dials speaking v2 with the piggyback disabled.
+// different build generation never silently exchanges trials: result-
+// integrity digests on assign/result, the optional shared-secret HMAC on
+// hello, the metric snapshot piggybacked on beat frames. One version is
+// spoken; a hello carrying any other gets the typed proto-mismatch bye.
 const (
-	protoName       = "quicbench-dist"
-	protoVersion    = 3
-	protoVersionMin = 2
+	protoName    = "quicbench-dist"
+	protoVersion = 3
 )
 
 // Message types on the coordinator/worker connection.
@@ -169,8 +167,8 @@ type resultMsg struct {
 	ResultDigest string          `json:"result_digest,omitempty"`
 }
 
-// beatMsg is the optional payload on a liveness heartbeat (proto ≥ 3):
-// the worker's registry snapshot — scalar samples plus full histogram
+// beatMsg is the optional payload on a liveness heartbeat: the worker's
+// registry snapshot — scalar samples plus full histogram
 // bucket data, so the coordinator can merge distributions exactly
 // instead of summing quantiles. Workers send it on every heartbeat and
 // immediately after each result, so fleet-aggregated counters converge
@@ -193,9 +191,7 @@ type byeMsg struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// wireMsg is one frame on the coordinator/worker connection. Beat is
-// new in version 3; version-2 peers never set it, and because frames are
-// JSON, a v2 decoder would simply ignore it.
+// wireMsg is one frame on the coordinator/worker connection.
 type wireMsg struct {
 	Type   string     `json:"type"`
 	Hello  *helloMsg  `json:"hello,omitempty"`

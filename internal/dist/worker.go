@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime/debug"
@@ -13,30 +14,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-)
-
-// Chaos-injection hooks, matched as substrings against assignment keys.
-// They only fire on a worker, where dying is safe — the coordinator must
-// classify the loss, re-dispatch the trial, and keep the campaign
-// bit-identical.
-const (
-	// EnvDistCrash: the worker severs its connection without a drain the
-	// moment a matching assignment arrives and stops for good — the
-	// in-process stand-in for kill -9.
-	EnvDistCrash = "QUICBENCH_TEST_DIST_CRASH"
-	// EnvDistBlackhole: on a matching assignment the worker keeps the
-	// connection open but stops sending anything (beats and results are
-	// silently dropped) — a one-way network partition the coordinator's
-	// reaper must detect.
-	EnvDistBlackhole = "QUICBENCH_TEST_DIST_BLACKHOLE"
-	// EnvDistDiverge: on matching assignments the worker executes the
-	// trial honestly and then perturbs one byte of the result before
-	// computing its digests — a Byzantine worker whose wire integrity is
-	// perfect and whose *answers* are wrong. Only audit re-execution can
-	// catch it.
-	EnvDistDiverge = "QUICBENCH_TEST_DIST_DIVERGE"
 )
 
 // errChaosKilled reports a worker stopped by the crash chaos hook.
@@ -44,17 +24,19 @@ var errChaosKilled = errors.New("dist: worker killed by chaos hook")
 
 // ExecFunc executes the domain trial behind an assignment's payload and
 // returns the marshalled result. It is the only domain knowledge a
-// worker needs; the quicbench facade wires it to core.ExecuteCellSpec,
-// the same code path the in-process and child-process executors run —
-// which is what makes fabric results bit-identical.
+// worker needs; the quicbench facade wires it to core.ExecuteCellSpec —
+// on TCP workers and on the crash-isolation child alike — the same code
+// path the in-process executor runs, which is what makes results
+// bit-identical across executors.
 type ExecFunc func(ctx context.Context, key string, seed uint64, payload json.RawMessage) (json.RawMessage, error)
 
 // Worker executes trial assignments for a coordinator. Create one, set
 // Addr and Exec, and call Run; it connects (and reconnects, with
 // exponential backoff) until the coordinator says bye, the context ends,
-// or Drain is called.
+// or Drain is called. Serve runs the same loop once over a stream the
+// caller already holds.
 type Worker struct {
-	// Addr is the coordinator's TCP address.
+	// Addr is the coordinator's TCP address (Run only).
 	Addr string
 	// Name identifies the worker in fleet telemetry (default
 	// "worker-<pid>").
@@ -80,12 +62,12 @@ type Worker struct {
 	// counters (worker.trials_total, worker.failures_total), the
 	// worker.trial_latency_us wall-latency histogram, and the
 	// worker.inflight gauge all land here, and its snapshot is
-	// piggybacked on every beat frame (proto ≥ 3) so the coordinator can
-	// aggregate the fleet.
+	// piggybacked on every beat frame so the coordinator can aggregate
+	// the fleet.
 	Metrics *telemetry.Registry
 	// ChaosCrash, ChaosBlackhole, and ChaosDiverge are key substrings
 	// arming the chaos hooks; empty values fall back to the
-	// QUICBENCH_TEST_DIST_* env.
+	// faults.EnvDistCrash/Blackhole/Diverge hooks.
 	ChaosCrash     string
 	ChaosBlackhole string
 	ChaosDiverge   string
@@ -93,10 +75,6 @@ type Worker struct {
 	drainOnce sync.Once
 	drainInit sync.Once
 	drainCh   chan struct{}
-	// forceV2 latches after a coordinator rejects our version-3 hello:
-	// the next dial re-introduces as version 2 with the metric piggyback
-	// disabled, so a new worker still serves an old fleet.
-	forceV2 atomic.Bool
 }
 
 // Drain asks the worker to shut down cleanly: finish the assignments in
@@ -153,11 +131,11 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) chaos(field, env string) string {
+func (w *Worker) chaos(field, hook string) string {
 	if field != "" {
 		return field
 	}
-	return os.Getenv(env)
+	return faults.Hook(hook)
 }
 
 // Run connects to the coordinator and executes assignments until the
@@ -210,18 +188,24 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
+// Serve runs the worker over one stream the caller already holds — the
+// crash-isolation child's stdin/stdout — instead of dialing: one session,
+// no reconnect. It returns nil once the peer ends the campaign (or Drain
+// completes), the typed error of a bye that turned the worker away, or
+// whatever ended the stream.
+func (w *Worker) Serve(ctx context.Context, conn io.ReadWriteCloser) error {
+	_, err := w.session(ctx, conn)
+	return err
+}
+
 // session runs one connection's lifetime. done reports that the worker
 // is finished for good (bye, drain, chaos kill, cancellation); !done
 // means the connection was lost and Run should re-dial.
-func (w *Worker) session(ctx context.Context, conn net.Conn) (done bool, err error) {
+func (w *Worker) session(ctx context.Context, conn io.ReadWriteCloser) (done bool, err error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := &msgWriter{w: conn}
-	version := protoVersion
-	if w.forceV2.Load() {
-		version = protoVersionMin
-	}
-	hello := helloMsg{Proto: protoName, Version: version, Name: w.name(), Slots: w.slots()}
+	hello := helloMsg{Proto: protoName, Version: protoVersion, Name: w.name(), Slots: w.slots()}
 	if w.AuthToken != "" {
 		if err := authenticate(w.AuthToken, &hello); err != nil {
 			return true, err
@@ -230,10 +214,8 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) (done bool, err err
 	if err := out.write(wireMsg{Type: msgHello, Hello: &hello}); err != nil {
 		return false, fmt.Errorf("dist: hello: %w", err)
 	}
-	// The metric piggyback is a version-3 feature; a downgraded session
-	// sends bare beats exactly like a genuine v2 worker.
 	beatPayload := func() *beatMsg { return nil }
-	if w.Metrics != nil && version >= 3 {
+	if w.Metrics != nil {
 		beatPayload = func() *beatMsg {
 			return &beatMsg{Samples: w.Metrics.Snapshot(), Hists: w.Metrics.Histograms()}
 		}
@@ -290,9 +272,9 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) (done bool, err err
 		watcher.Wait()
 	}()
 
-	chaosCrash := w.chaos(w.ChaosCrash, EnvDistCrash)
-	chaosBlackhole := w.chaos(w.ChaosBlackhole, EnvDistBlackhole)
-	chaosDiverge := w.chaos(w.ChaosDiverge, EnvDistDiverge)
+	chaosCrash := w.chaos(w.ChaosCrash, faults.EnvDistCrash)
+	chaosBlackhole := w.chaos(w.ChaosBlackhole, faults.EnvDistBlackhole)
+	chaosDiverge := w.chaos(w.ChaosDiverge, faults.EnvDistDiverge)
 	for {
 		m, rerr := readMsg(conn)
 		if rerr != nil {
@@ -311,13 +293,6 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) (done bool, err err
 		case msgBye:
 			trials.Wait()
 			if err := byeError(m.Bye); err != nil {
-				if m.Bye != nil && m.Bye.Code == byeProtoMismatch && version > protoVersionMin {
-					// An older coordinator: downgrade and re-dial speaking
-					// its version instead of giving up the campaign.
-					w.forceV2.Store(true)
-					w.logf("dist: coordinator speaks an older protocol (%s); re-dialing as v%d", byeReason(m.Bye), protoVersionMin)
-					return false, err
-				}
 				w.logf("dist: coordinator turned us away: %v (%s)", err, byeReason(m.Bye))
 				return true, err
 			}

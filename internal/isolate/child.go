@@ -8,11 +8,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
-	"sync"
+	"strconv"
 	"time"
 
-	"repro/internal/runner"
+	"repro/internal/dist"
+	"repro/internal/faults"
 )
 
 // Child process exit codes. 0 means the protocol completed — even a trial
@@ -20,7 +20,7 @@ import (
 // exits are reserved for crashes the protocol could not report.
 const (
 	// ExitProtocol: the child could not complete the stdin/stdout
-	// protocol (bad spec frame, result write failure).
+	// protocol (bad spawn arguments, a stream that broke mid-session).
 	ExitProtocol = 3
 	// ExitMemExceeded: the memory self-check saw live heap beyond twice
 	// the soft ceiling — the deterministic stand-in for a kernel OOM-kill,
@@ -33,101 +33,76 @@ const (
 // binary dispatches on its hidden `_trial` argv instead.
 const ChildEnvMarker = "QUICBENCH_TRIAL_CHILD"
 
-// Chaos-injection hooks, matched as substrings against the trial key.
-// They only take effect inside an isolated child, where dying is safe —
-// that is the point: the parent must classify and survive each of them.
-const (
-	// EnvWedge: the child blocks forever before its first heartbeat; the
-	// parent's reaper must SIGKILL it and classify a timeout.
-	EnvWedge = "QUICBENCH_TEST_WEDGE"
-	// EnvPanic: the trial panics; the child recovers and reports a typed
-	// panic outcome.
-	EnvPanic = "QUICBENCH_TEST_PANIC"
-	// EnvMemHog: the trial allocates without bound; the soft memory
-	// ceiling's self-check must kill the child (ExitMemExceeded).
-	EnvMemHog = "QUICBENCH_TEST_MEMHOG"
-)
+// childArgs renders the supervision parameters the parent hands its child
+// at spawn, as the last two argv words: the heartbeat period and the soft
+// memory ceiling in bytes (0 = none).
+func childArgs(heartbeat time.Duration, memLimit int64) []string {
+	return []string{heartbeat.String(), strconv.FormatInt(memLimit, 10)}
+}
 
-// RunFunc executes the domain trial described by a spec's payload and
-// returns the marshalled result. It is the only domain knowledge the
-// child needs; cmd/quicbench wires it to core.ExecuteCellSpec.
-type RunFunc func(ctx context.Context, spec TrialSpec) (json.RawMessage, error)
+// parseChildArgs reads childArgs back off the end of the child's argv.
+func parseChildArgs(argv []string) (heartbeat time.Duration, memLimit int64, err error) {
+	if len(argv) < 2 {
+		return 0, 0, fmt.Errorf("too few arguments")
+	}
+	if heartbeat, err = time.ParseDuration(argv[len(argv)-2]); err != nil || heartbeat <= 0 {
+		return 0, 0, fmt.Errorf("bad heartbeat period %q", argv[len(argv)-2])
+	}
+	if memLimit, err = strconv.ParseInt(argv[len(argv)-1], 10, 64); err != nil || memLimit < 0 {
+		return 0, 0, fmt.Errorf("bad memory ceiling %q", argv[len(argv)-1])
+	}
+	return heartbeat, memLimit, nil
+}
 
 // ChildMain is the body of the hidden trial-child mode (`quicbench
-// _trial`): read one spec frame from stdin, apply the soft memory
-// ceiling, heartbeat on stdout while the trial runs, write the result
-// frame, exit. It returns the process exit code.
-func ChildMain(stdin io.Reader, stdout io.Writer, run RunFunc) int {
-	fr, err := readFrame(stdin)
-	if err != nil || fr.Type != frameSpec || fr.Spec == nil {
-		fmt.Fprintf(os.Stderr, "isolate child: bad spec frame: %v\n", err)
+// _trial`): a one-slot fabric worker on stdin/stdout. It applies the soft
+// memory ceiling, serves the parent's one assignment through the same
+// loop a TCP worker runs (dist.Worker.Serve: hello, heartbeats while the
+// trial runs, panic recovery and classification, digest-stamped result),
+// and exits when the parent says bye. argv is the process's arguments,
+// whose tail carries the parent's childArgs; exec runs the trial. It
+// returns the process exit code.
+func ChildMain(argv []string, stdin io.ReadCloser, stdout io.Writer, exec dist.ExecFunc) int {
+	heartbeat, memLimit, err := parseChildArgs(argv)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "isolate child: want <heartbeat> <mem-limit-bytes> as the last two arguments: %v\n", err)
 		return ExitProtocol
 	}
-	spec := *fr.Spec
-
-	if spec.MemLimitBytes > 0 {
+	if memLimit > 0 {
 		// Soft ceiling: the GC works hard to stay under it. The self-check
 		// is the hard backstop for trials that allocate reachable memory
 		// without bound, which no GC effort can contain.
-		debug.SetMemoryLimit(spec.MemLimitBytes)
-		go memSelfCheck(spec.MemLimitBytes)
+		debug.SetMemoryLimit(memLimit)
+		go memSelfCheck(memLimit)
 	}
-
-	if hookMatches(EnvWedge, spec.Key) {
-		// Wedge before the first heartbeat: from the parent's view the
-		// child is alive but silent, exactly the failure the reaper's
-		// heartbeat-stall supervision exists for. (A sleep loop, not
-		// `select {}`, so the runtime's deadlock detector doesn't turn
-		// the wedge into a polite crash.)
-		for {
-			time.Sleep(time.Hour)
-		}
+	w := &dist.Worker{
+		HeartbeatInterval: heartbeat,
+		// The wedge hook is the worker's blackhole: alive, executing, and
+		// silent — no beat, no result — which is exactly what the parent's
+		// heartbeat-stall reaper exists for.
+		ChaosBlackhole: faults.Hook(faults.EnvWedge),
+		Exec: func(ctx context.Context, key string, seed uint64, payload json.RawMessage) (json.RawMessage, error) {
+			if faults.HookMatches(faults.EnvPanic, key) {
+				panic("injected test panic (" + faults.EnvPanic + ")")
+			}
+			if faults.HookMatches(faults.EnvMemHog, key) {
+				memHog()
+			}
+			return exec(ctx, key, seed, payload)
+		},
 	}
-
-	w := &lockedWriter{w: stdout}
-	hb := time.Duration(spec.HeartbeatMs) * time.Millisecond
-	if hb <= 0 {
-		hb = 100 * time.Millisecond
-	}
-	stopBeats := startHeartbeats(w, hb)
-	out := runSpec(context.Background(), run, spec)
-	stopBeats()
-	if err := w.write(protoFrame{Type: frameResult, Outcome: &out}); err != nil {
-		fmt.Fprintf(os.Stderr, "isolate child: write result: %v\n", err)
+	stdio := struct {
+		io.Reader
+		io.Writer
+		io.Closer
+	}{stdin, stdout, stdin}
+	// A parent that simply hangs up (EOF at a frame boundary) has decided
+	// the session is over; only a stream that broke is the child's failure.
+	if err := w.Serve(context.Background(), stdio); err != nil && err != io.EOF {
+		fmt.Fprintf(os.Stderr, "isolate child: %v\n", err)
 		return ExitProtocol
 	}
 	return 0
-}
-
-// runSpec executes the trial with panic recovery, mirroring the
-// in-process executor: the outcome's Kind matches what runner.Classify
-// would have produced for the same failure.
-func runSpec(ctx context.Context, run RunFunc, spec TrialSpec) (out TrialOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Stack to stderr for diagnostics; the outcome text stays a
-			// pure function of the panic value, like the in-process path.
-			fmt.Fprintf(os.Stderr, "isolate child: trial %s panicked: %v\n%s", spec.Key, r, debug.Stack())
-			out = TrialOutcome{Err: fmt.Sprintf("%v", r), Kind: string(runner.FailPanic)}
-		}
-	}()
-	if hookMatches(EnvPanic, spec.Key) {
-		panic("injected test panic (" + EnvPanic + ")")
-	}
-	if hookMatches(EnvMemHog, spec.Key) {
-		memHog()
-	}
-	raw, err := run(ctx, spec)
-	if err != nil {
-		return TrialOutcome{Err: err.Error(), Kind: string(runner.Classify(err))}
-	}
-	return TrialOutcome{Result: raw}
-}
-
-// hookMatches reports whether the named chaos hook selects this trial.
-func hookMatches(env, key string) bool {
-	sub := os.Getenv(env)
-	return sub != "" && strings.Contains(key, sub)
 }
 
 // memHog allocates reachable memory without bound — the injected memory
@@ -158,46 +133,5 @@ func memSelfCheck(limit int64) {
 				ms.HeapAlloc, limit)
 			os.Exit(ExitMemExceeded)
 		}
-	}
-}
-
-// lockedWriter serializes frame writes between the heartbeat goroutine
-// and the result path.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (lw *lockedWriter) write(fr protoFrame) error {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return writeFrame(lw.w, fr)
-}
-
-// startHeartbeats emits a beat frame every `every` until the returned stop
-// function is called (which waits for the goroutine to exit, so no beat
-// can follow the result frame).
-func startHeartbeats(w *lockedWriter, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := w.write(protoFrame{Type: frameBeat}); err != nil {
-					return // parent gone; the trial result write will report it
-				}
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
 	}
 }

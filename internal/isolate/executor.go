@@ -1,3 +1,21 @@
+// Package isolate executes supervised trials in crash-isolated child
+// processes. The parent side (Executor) implements runner.TrialExecutor:
+// each attempt spawns a hidden child mode of the same binary
+// (`quicbench _trial`) — a one-slot fabric worker on stdin/stdout
+// (dist.Worker.Serve) — and drives it through the fabric's own
+// hello/assign/beat/result exchange (dist.Exchange), digest checks
+// included. The child heartbeats while it works; a parent-side wall-clock
+// reaper SIGKILLs children whose heartbeats stall or that exceed a
+// wall-clock deadline, and every way a child can die — reaped, signalled,
+// OOM-killed, nonzero exit, corrupt output — is classified back into the
+// runner's typed TrialError kinds, where the existing bounded retry with
+// deterministic seeded backoff handles the respawn. Isolation degrades
+// gracefully: a trial that cannot be isolated (no serializable spec, spawn
+// failure) falls back to the in-process executor instead of failing.
+//
+// What this package owns is the process: spawn, the reaper with its
+// startup grace, exit-status classification, the soft memory ceiling's
+// self-check, the fallback. The conversation on the pipe is dist's.
 package isolate
 
 import (
@@ -15,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
@@ -43,6 +62,11 @@ var (
 	// ErrChildExit marks a child that exited nonzero without reporting a
 	// result — a hard crash the in-process runner could never survive.
 	ErrChildExit = errors.New("isolate: child exited nonzero")
+	// ErrCorruptOutput marks a child that exited without producing a valid
+	// result frame: a torn or oversized frame, non-protocol bytes on
+	// stdout, a result failing its digest check, or a clean exit with no
+	// result at all.
+	ErrCorruptOutput = errors.New("isolate: corrupt child output")
 )
 
 // Executor runs trial attempts in crash-isolated child processes and
@@ -51,7 +75,9 @@ var (
 type Executor struct {
 	// Cmd is the child argv. Empty selects the running binary's hidden
 	// trial mode: {os.Executable(), "_trial"}. Test binaries rely on
-	// ChildEnvMarker (always set) to dispatch instead of the argv.
+	// ChildEnvMarker (always set) to dispatch instead of the argv. Either
+	// way the heartbeat period and memory ceiling are appended as the last
+	// two arguments (see ChildMain).
 	Cmd []string
 	// Env is appended to the inherited environment of every child.
 	Env []string
@@ -92,22 +118,14 @@ func (e *Executor) ExecuteTrial(ctx context.Context, tr runner.Trial, attempt in
 	if err != nil {
 		return e.fallback(ctx, tr, attempt, fmt.Errorf("marshal trial spec: %w", err))
 	}
-	out, err := e.runChild(ctx, tr, attempt, payload)
+	raw, terr, err := e.runChild(ctx, tr, attempt, payload)
 	switch {
 	case errors.Is(err, ErrSpawn):
 		return e.fallback(ctx, tr, attempt, err)
 	case err != nil:
 		return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: runner.Classify(err), Err: err}
-	case out.Err != "":
-		kind := runner.FailKind(out.Kind)
-		switch kind {
-		case runner.FailPanic, runner.FailTimeout, runner.FailInterrupted, runner.FailError:
-		default:
-			kind = runner.FailError
-		}
-		return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: kind, Err: errors.New(out.Err)}
 	default:
-		return out.Result, nil
+		return raw, terr
 	}
 }
 
@@ -185,31 +203,36 @@ func (e *Executor) startupGrace() time.Duration {
 	return 2 * time.Second
 }
 
-// runChild executes one attempt in a child process: spawn, ship the spec,
-// collect heartbeats and the result, wait, classify.
-func (e *Executor) runChild(ctx context.Context, tr runner.Trial, attempt int, payload json.RawMessage) (TrialOutcome, error) {
+// runChild executes one attempt in a child process: spawn, run the
+// fabric exchange on its pipes, wait, classify. A non-nil error means the
+// child produced no valid result; otherwise the result (or the failure the
+// child itself classified) comes back as the executor contract wants it.
+func (e *Executor) runChild(ctx context.Context, tr runner.Trial, attempt int, payload json.RawMessage) (json.RawMessage, *runner.TrialError, error) {
 	argv := e.Cmd
 	if len(argv) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			return TrialOutcome{}, fmt.Errorf("%w: resolve executable: %v", ErrSpawn, err)
+			return nil, nil, fmt.Errorf("%w: resolve executable: %v", ErrSpawn, err)
 		}
 		argv = []string{exe, "_trial"}
 	}
-	cmd := exec.Command(argv[0], argv[1:]...)
+	// Capped slice: the append must copy, never write into e.Cmd's backing
+	// array, which concurrent attempts share.
+	args := append(argv[1:len(argv):len(argv)], childArgs(e.heartbeatInterval(), e.MemLimitBytes)...)
+	cmd := exec.Command(argv[0], args...)
 	cmd.Env = append(append(os.Environ(), ChildEnvMarker+"=1"), e.Env...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return TrialOutcome{}, fmt.Errorf("%w: stdin pipe: %v", ErrSpawn, err)
+		return nil, nil, fmt.Errorf("%w: stdin pipe: %v", ErrSpawn, err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return TrialOutcome{}, fmt.Errorf("%w: stdout pipe: %v", ErrSpawn, err)
+		return nil, nil, fmt.Errorf("%w: stdout pipe: %v", ErrSpawn, err)
 	}
 	stderr := &capBuffer{max: 8 << 10}
 	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
-		return TrialOutcome{}, fmt.Errorf("%w: %v", ErrSpawn, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrSpawn, err)
 	}
 
 	// Register with the wall-clock reaper before the child does any work,
@@ -238,77 +261,49 @@ func (e *Executor) runChild(ctx context.Context, tr runner.Trial, attempt int, p
 		}
 	}()
 
-	spec := TrialSpec{
-		Key:           tr.Key,
-		Seed:          tr.Seed,
-		Attempt:       attempt,
-		Payload:       payload,
-		MemLimitBytes: e.MemLimitBytes,
-		HeartbeatMs:   e.heartbeatInterval().Milliseconds(),
-	}
-	// A write error here means the child is already gone; Wait's status
-	// classifies that better than the EPIPE would.
-	_ = writeFrame(stdin, protoFrame{Type: frameSpec, Spec: &spec})
+	// The exchange returns on the result, EOF (child died), or garbage. A
+	// reaper kill closes the pipe and unblocks it.
+	pipe := struct {
+		io.Reader
+		io.Writer
+	}{stdout, stdin}
+	raw, terr, xerr := dist.Exchange(pipe, tr, attempt, payload, func() {
+		c.beaten.Store(true)
+		c.lastBeat.Store(time.Now().UnixNano())
+	})
 	_ = stdin.Close()
-
-	// Read frames until the result, EOF (child died), or garbage. A
-	// reaper kill closes the pipe and unblocks this loop.
-	var (
-		outcome *TrialOutcome
-		readErr error
-	)
-	for outcome == nil {
-		fr, ferr := readFrame(stdout)
-		if ferr != nil {
-			if !errors.Is(ferr, io.EOF) {
-				readErr = ferr
-			}
-			break
-		}
-		switch fr.Type {
-		case frameBeat:
-			c.beaten.Store(true)
-			c.lastBeat.Store(time.Now().UnixNano())
-		case frameResult:
-			if fr.Outcome != nil {
-				outcome = fr.Outcome
-			} else {
-				readErr = fmt.Errorf("%w: result frame without an outcome", ErrCorruptOutput)
-			}
-		}
-	}
 	waitErr := cmd.Wait()
 
 	// A result frame is authoritative: the trial completed before
 	// whatever happened at exit.
-	if outcome != nil {
-		return *outcome, nil
+	if xerr == nil {
+		return raw, terr, nil
 	}
 	if reason := c.killReason(); reason != nil {
-		return TrialOutcome{}, reason
+		return nil, nil, reason
 	}
 	if waitErr != nil {
 		var ee *exec.ExitError
 		if errors.As(waitErr, &ee) {
 			if ws, ok := ee.Sys().(syscall.WaitStatus); ok && ws.Signaled() {
 				if ws.Signal() == syscall.SIGKILL {
-					return TrialOutcome{}, fmt.Errorf("%w: unsolicited SIGKILL (kernel OOM-kill signature)%s",
+					return nil, nil, fmt.Errorf("%w: unsolicited SIGKILL (kernel OOM-kill signature)%s",
 						ErrChildOOM, stderr.suffix())
 				}
-				return TrialOutcome{}, fmt.Errorf("%w: %v%s", ErrChildSignal, ws.Signal(), stderr.suffix())
+				return nil, nil, fmt.Errorf("%w: %v%s", ErrChildSignal, ws.Signal(), stderr.suffix())
 			}
 			if ee.ExitCode() == ExitMemExceeded {
-				return TrialOutcome{}, fmt.Errorf("%w: soft ceiling %d B exceeded%s",
+				return nil, nil, fmt.Errorf("%w: soft ceiling %d B exceeded%s",
 					ErrChildOOM, e.MemLimitBytes, stderr.suffix())
 			}
-			return TrialOutcome{}, fmt.Errorf("%w: exit %d%s", ErrChildExit, ee.ExitCode(), stderr.suffix())
+			return nil, nil, fmt.Errorf("%w: exit %d%s", ErrChildExit, ee.ExitCode(), stderr.suffix())
 		}
-		return TrialOutcome{}, fmt.Errorf("%w: wait: %v", ErrChildExit, waitErr)
+		return nil, nil, fmt.Errorf("%w: wait: %v", ErrChildExit, waitErr)
 	}
-	if readErr != nil {
-		return TrialOutcome{}, readErr
+	if xerr != io.EOF {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptOutput, xerr)
 	}
-	return TrialOutcome{}, fmt.Errorf("%w: child exited cleanly without a result frame", ErrCorruptOutput)
+	return nil, nil, fmt.Errorf("%w: child exited cleanly without a result frame", ErrCorruptOutput)
 }
 
 // reaper lazily starts the executor's reaper goroutine.

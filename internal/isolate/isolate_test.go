@@ -1,27 +1,29 @@
 package isolate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
 
 // TestMain doubles as the trial child: the Executor re-execs this test
 // binary with ChildEnvMarker set, and this hook routes the child into
-// ChildMain with a scriptable RunFunc before any test runs.
+// ChildMain with a scriptable exec before any test runs.
 func TestMain(m *testing.M) {
 	if os.Getenv(ChildEnvMarker) == "1" {
-		os.Exit(ChildMain(os.Stdin, os.Stdout, testChildRun))
+		os.Exit(ChildMain(os.Args, os.Stdin, os.Stdout, testChildRun))
 	}
 	os.Exit(m.Run())
 }
@@ -34,9 +36,9 @@ type childScript struct {
 
 // testChildRun interprets a childScript — the scriptable stand-in for the
 // real conformance pipeline.
-func testChildRun(ctx context.Context, spec TrialSpec) (json.RawMessage, error) {
+func testChildRun(ctx context.Context, key string, seed uint64, payload json.RawMessage) (json.RawMessage, error) {
 	var sc childScript
-	if err := json.Unmarshal(spec.Payload, &sc); err != nil {
+	if err := json.Unmarshal(payload, &sc); err != nil {
 		return nil, err
 	}
 	switch sc.Mode {
@@ -183,7 +185,7 @@ func TestCorruptOutputClassified(t *testing.T) {
 // heartbeats; the reaper must SIGKILL it and classify a timeout
 // (faults.ErrDeadline), which the runner retries.
 func TestWedgeReaped(t *testing.T) {
-	t.Setenv(EnvWedge, "wedge-me")
+	t.Setenv(faults.EnvWedge, "wedge-me")
 	e := testExecutor(t)
 	start := time.Now()
 	_, terr := e.ExecuteTrial(context.Background(), scriptTrial("wedge-me", "ok", 1), 1)
@@ -206,7 +208,7 @@ func TestWedgeReaped(t *testing.T) {
 // the sweep completes with a failed-outcome record while a healthy
 // neighbour cell still succeeds.
 func TestWedgedSweepCompletes(t *testing.T) {
-	t.Setenv(EnvWedge, "wedge-me")
+	t.Setenv(faults.EnvWedge, "wedge-me")
 	e := testExecutor(t)
 	res, err := runner.Run(context.Background(),
 		runner.Config{MaxAttempts: 2, Executor: e, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
@@ -247,7 +249,7 @@ func TestWallDeadlineReaped(t *testing.T) {
 // TestMemBlowoutContained: a trial allocating without bound under a soft
 // ceiling is killed by the child's self-check and classified as OOM.
 func TestMemBlowoutContained(t *testing.T) {
-	t.Setenv(EnvMemHog, "hog")
+	t.Setenv(faults.EnvMemHog, "hog")
 	e := testExecutor(t)
 	e.MemLimitBytes = 64 << 20
 	e.StallTimeout = 30 * time.Second // GC thrash must not masquerade as a stall
@@ -318,25 +320,70 @@ func TestNoSpecFallsBackInProcess(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	r, w, err := os.Pipe()
+// TestExecutorsJournalIdentically runs the same three trials — one that
+// succeeds, one that returns an error, one that panics — through the
+// in-process executor, the isolate executor (worker loop on a stdio pipe)
+// and a loopback coordinator with one TCP worker (the same loop on a
+// socket), and requires byte-identical journals: the shared
+// trial-serving loop classifies identically on both transports, and
+// identically to the in-process path.
+func TestExecutorsJournalIdentically(t *testing.T) {
+	mirrored := func(key, mode string, val uint64) runner.Trial {
+		tr := scriptTrial(key, mode, val)
+		payload, err := json.Marshal(tr.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Run = func(ctx context.Context) (any, error) { return testChildRun(ctx, key, val, payload) }
+		return tr
+	}
+	trials := []runner.Trial{mirrored("t-ok", "ok", 7), mirrored("t-error", "error", 1), mirrored("t-panic", "panic", 1)}
+
+	iso := testExecutor(t)
+	iso.OnFallback = func(key string, err error) { t.Errorf("isolate degraded %s to in-process: %v", key, err) }
+	coord := &dist.Coordinator{}
+	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	want := protoFrame{Type: frameSpec, Spec: &TrialSpec{Key: "k", Seed: 5, Payload: json.RawMessage(`{"a":1}`), HeartbeatMs: 50}}
-	if err := writeFrame(w, want); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	w := &dist.Worker{Addr: addr, Name: "loopback", Exec: testChildRun, HeartbeatInterval: 25 * time.Millisecond}
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(context.Background()) }()
+	defer func() {
+		coord.Close() // its bye ends the worker's campaign
+		if err := <-workerDone; err != nil {
+			t.Errorf("loopback worker: %v", err)
+		}
+	}()
+	if n, ok := coord.WaitWorkers(context.Background(), 1); !ok {
+		t.Fatalf("loopback worker never joined (%d connected)", n)
 	}
-	w.Close()
-	got, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("readFrame: %v", err)
+
+	var ref []byte
+	for _, ex := range []struct {
+		name string
+		ex   runner.TrialExecutor
+	}{{"inproc", runner.InProcess{}}, {"isolate", iso}, {"dist", coord}} {
+		path := filepath.Join(t.TempDir(), ex.name+".jsonl")
+		cfg := runner.Config{MaxAttempts: 2, Executor: ex.ex, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}
+		res, err := runner.RunCheckpointed(context.Background(), cfg, trials, path, false)
+		if err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
+		}
+		if res.Count(runner.OutcomeOK) != 1 || res.Count(runner.OutcomeFailed) != 2 {
+			t.Fatalf("%s: outcomes %+v, want one ok and two failed", ex.name, res.Records)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(got, ref) {
+			t.Errorf("%s journal differs from the in-process journal:\nwant %s\ngot  %s", ex.name, ref, got)
+		}
 	}
-	if got.Type != want.Type || got.Spec == nil || got.Spec.Key != "k" || got.Spec.Seed != 5 {
-		t.Errorf("frame round-trip mismatch: %+v", got)
-	}
-	if _, err := readFrame(r); err != io.EOF {
-		t.Errorf("stream end = %v, want io.EOF", err)
+	if st := coord.Stats(); st.RemoteTrials != 5 || st.LocalTrials != 0 {
+		t.Errorf("dist leg ran %d remote / %d local attempts, want 5 / 0", st.RemoteTrials, st.LocalTrials)
 	}
 }

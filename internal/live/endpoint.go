@@ -38,8 +38,8 @@ type Endpoint struct {
 }
 
 // NewEndpoint opens a loopback UDP socket and starts a fresh event loop.
-// Socket refusals classify as ErrSocket. deny injects the EnvEPERM chaos
-// refusal.
+// Socket refusals classify as ErrSocket. deny injects the
+// faults.EnvLiveEPERM hook's synthetic refusal.
 func NewEndpoint(rlcfg ReadLoopConfig, deny bool) (*Endpoint, error) {
 	conn, err := listenUDP(deny)
 	if err != nil {

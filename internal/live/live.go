@@ -32,9 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"syscall"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // Typed failure classes. Wrap sites add context with %w chains so
@@ -63,24 +64,6 @@ var (
 	ErrWallClock = errors.New("live: trial exceeded its wall-clock budget")
 )
 
-// Chaos hook environment variables, matched against the stack under test
-// (same convention as the isolate soak's QUICBENCH_TEST_WEDGE family).
-// They exist so `make live-smoke` can drive every failure class through
-// the real executor; production runs never set them.
-const (
-	// EnvWedge wedges the matching cell's relay: it stops reading its
-	// socket, the watchdog sees no datagram progress, and the trial is
-	// reaped as ErrRelayStall (classified timeout).
-	EnvWedge = "QUICBENCH_TEST_LIVE_WEDGE"
-	// EnvDrop turns the matching cell's relay into a drop storm: every
-	// data datagram is discarded (ACK path untouched), so the test flow
-	// moves no data and the trial reports core.ErrZeroThroughput.
-	EnvDrop = "QUICBENCH_TEST_LIVE_DROP"
-	// EnvEPERM makes the matching cell's socket opens fail with a
-	// synthetic EPERM, driving the simulator-fallback path.
-	EnvEPERM = "QUICBENCH_TEST_LIVE_EPERM"
-)
-
 // Chaos carries the per-trial fault-injection switches derived from the
 // environment hooks. The zero value is a healthy trial.
 type Chaos struct {
@@ -92,13 +75,15 @@ type Chaos struct {
 	DenySockets bool
 }
 
-// chaosFor derives the trial's chaos switches from the environment hooks:
-// a hook whose value equals the stack under test fires for that cell.
+// chaosFor derives the trial's chaos switches from the live-backend fault
+// hooks (faults.EnvLive*, which exist so `make live-smoke` can drive every
+// failure class through the real executor): a hook whose value equals the
+// stack under test fires for that cell.
 func chaosFor(stack string) Chaos {
 	return Chaos{
-		Wedge:       os.Getenv(EnvWedge) == stack,
-		Drop:        os.Getenv(EnvDrop) == stack,
-		DenySockets: os.Getenv(EnvEPERM) == stack,
+		Wedge:       faults.Hook(faults.EnvLiveWedge) == stack,
+		Drop:        faults.Hook(faults.EnvLiveDrop) == stack,
+		DenySockets: faults.Hook(faults.EnvLiveEPERM) == stack,
 	}
 }
 
@@ -115,10 +100,10 @@ type Warning struct {
 func (w Warning) String() string { return fmt.Sprintf("live: %s: %s", w.Kind, w.Detail) }
 
 // listenUDP opens a loopback UDP socket, classifying refusals as
-// ErrSocket. deny injects the EnvEPERM chaos hook's synthetic refusal.
+// ErrSocket. deny injects the faults.EnvLiveEPERM hook's synthetic refusal.
 func listenUDP(deny bool) (*net.UDPConn, error) {
 	if deny {
-		return nil, fmt.Errorf("%w: %w (injected by %s)", ErrSocket, syscall.EPERM, EnvEPERM)
+		return nil, fmt.Errorf("%w: %w (injected by %s)", ErrSocket, syscall.EPERM, faults.EnvLiveEPERM)
 	}
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {

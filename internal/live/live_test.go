@@ -311,7 +311,7 @@ func TestExecutorChaosClassification(t *testing.T) {
 	n := shortNet()
 
 	t.Run("wedge", func(t *testing.T) {
-		t.Setenv(EnvWedge, "quicgo")
+		t.Setenv(faults.EnvLiveWedge, "quicgo")
 		wn := n
 		wn.Duration = 2 * sim.Second
 		ex := &Executor{Stall: 200 * time.Millisecond}
@@ -328,7 +328,7 @@ func TestExecutorChaosClassification(t *testing.T) {
 	})
 
 	t.Run("drop", func(t *testing.T) {
-		t.Setenv(EnvDrop, "quicgo")
+		t.Setenv(faults.EnvLiveDrop, "quicgo")
 		ex := &Executor{}
 		_, terr := ex.ExecuteTrial(context.Background(), execTrial(core.SweepCell{Stack: "quicgo", CCA: "cubic", Net: n}), 1)
 		if terr == nil {
@@ -343,7 +343,7 @@ func TestExecutorChaosClassification(t *testing.T) {
 	})
 
 	t.Run("eperm-fallback", func(t *testing.T) {
-		t.Setenv(EnvEPERM, "quicgo")
+		t.Setenv(faults.EnvLiveEPERM, "quicgo")
 		var fellBack error
 		ex := &Executor{OnFallback: func(key string, err error) { fellBack = err }}
 		out, terr := ex.ExecuteTrial(context.Background(), execTrial(core.SweepCell{Stack: "quicgo", CCA: "cubic", Net: n}), 1)
@@ -361,7 +361,7 @@ func TestExecutorChaosClassification(t *testing.T) {
 
 	t.Run("chaos-scoped-to-stack", func(t *testing.T) {
 		// A hook naming a different stack must not fire for this cell.
-		t.Setenv(EnvWedge, "lsquic")
+		t.Setenv(faults.EnvLiveWedge, "lsquic")
 		ex := &Executor{Stall: 200 * time.Millisecond}
 		_, terr := ex.ExecuteTrial(context.Background(), execTrial(core.SweepCell{Stack: "quicgo", CCA: "cubic", Net: n}), 1)
 		if terr != nil {

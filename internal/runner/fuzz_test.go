@@ -7,24 +7,25 @@ import (
 	"testing"
 )
 
-// fuzzChainJournal builds a valid version-3 (chain-hashed) journal through
-// the real writer, for use as a fuzz seed.
-func fuzzChainJournal(f *testing.F, recs ...Record) []byte {
-	f.Helper()
-	path := filepath.Join(f.TempDir(), "seed.jsonl")
+// writtenJournal builds a valid journal through the real writer: a fuzz
+// seed, and the well-formed prefix the torn-tail and corruption tests
+// damage.
+func writtenJournal(tb testing.TB, recs ...Record) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "seed.jsonl")
 	j, err := OpenJournal(path, false)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, rec := range recs {
 		if err := j.Append(rec); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	j.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return data
 }
@@ -36,29 +37,33 @@ func fuzzChainJournal(f *testing.F, recs ...Record) []byte {
 // verifiable prefix — whose records ParseJournal of the prefix bytes agrees
 // with — or typed corruption, never anything in between.
 func FuzzParseJournal(f *testing.F) {
+	const hdr = `{"journal":"quicbench-sweep","version":3}` + "\n"
 	f.Add([]byte(nil))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"key":"a","outcome":"ok","attempts":1}` + "\n"))
-	f.Add([]byte(`{"key":"a","outcome":"ok"}` + "\n" + `{"key":"b","outcome":"failed","err":"x"}` + "\n"))
+	f.Add([]byte(hdr + "\n\n\n"))
+	// Records without integrity fields behind a valid header: every one is
+	// an unverifiable suffix.
+	f.Add([]byte(hdr + `{"key":"a","outcome":"ok","attempts":1}` + "\n"))
+	f.Add([]byte(hdr + `{"key":"a","outcome":"ok"}` + "\n" + `{"key":"b","outcome":"failed","err":"x"}` + "\n"))
 	// Crash artifact: torn final append.
-	f.Add([]byte(`{"key":"a","outcome":"ok"}` + "\n" + `{"key":"b","outco`))
+	f.Add([]byte(hdr + `{"key":"a","outcome":"ok"}` + "\n" + `{"key":"b","outco`))
 	// Corruption: malformed interior line, keyless interior record.
-	f.Add([]byte("garbage\n" + `{"key":"a"}` + "\n"))
-	f.Add([]byte(`{"seed":7}` + "\n" + `{"key":"a"}` + "\n"))
-	// Version headers: legacy v2 (accepted without verification),
-	// mismatched (typed corruption), and torn (crash artifact).
+	f.Add([]byte(hdr + "garbage\n" + `{"key":"a"}` + "\n"))
+	f.Add([]byte(hdr + `{"seed":7}` + "\n" + `{"key":"a"}` + "\n"))
+	// First lines that are not this format's header — retired version 2,
+	// an unknown version, headerless version 1 (typed corruption each) —
+	// and a torn header (crash artifact).
 	f.Add([]byte(`{"journal":"quicbench-sweep","version":2}` + "\n" + `{"key":"a","outcome":"ok"}` + "\n"))
 	f.Add([]byte(`{"journal":"quicbench-sweep","version":99}` + "\n" + `{"key":"a","outcome":"ok"}` + "\n"))
 	f.Add([]byte(`{"journal":"quicbench-sw`))
 	// Valid JSON of the wrong shape.
-	f.Add([]byte("[1,2,3]\n{\"key\":\"a\"}\n"))
-	f.Add([]byte("null\n"))
+	f.Add([]byte(hdr + "[1,2,3]\n{\"key\":\"a\"}\n"))
+	f.Add([]byte(hdr + "null\n"))
 	f.Add([]byte(`{"key":"a","result":{"deep":[{"nest":[[[[1]]]]}]}}` + "\n"))
 
 	// Chain-hashed (version 3) seeds: a clean journal, one with a flipped
 	// byte mid-record, one with its two records swapped (chain breaks), one
 	// with a forged crc field, and one torn mid-line.
-	chained := fuzzChainJournal(f,
+	chained := writtenJournal(f,
 		Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1},
 		Record{Key: "b", Seed: 2, Outcome: OutcomeOK, Attempts: 1},
 	)
@@ -67,8 +72,7 @@ func FuzzParseJournal(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add(fuzzReorder(chained))
-	f.Add([]byte(`{"journal":"quicbench-sweep","version":3}` + "\n" +
-		`{"key":"a","outcome":"ok","crc":"00000000","chain":"0000000000000000"}` + "\n"))
+	f.Add([]byte(hdr + `{"key":"a","outcome":"ok","crc":"00000000","chain":"0000000000000000"}` + "\n"))
 	f.Add(chained[:len(chained)-4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {

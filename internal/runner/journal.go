@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
+
+	"repro/internal/faults"
 )
 
 // ErrJournalCorrupt is the typed failure for a journal whose interior is
@@ -27,21 +29,14 @@ var ErrJournalCorrupt = errors.New("journal corrupt")
 // integrity: every record line carries a CRC-32C of its canonical record
 // bytes plus a running chain hash binding it to everything before it, so
 // any bit flip, splice, or reorder is detectable and resume can truncate
-// to the last verifiable prefix instead of replaying poison. Version-2
-// (headered, no integrity fields) and headerless version-1 journals are
-// accepted read-only as legacy formats; a future version is rejected
-// instead of silently misread.
+// to the last verifiable prefix instead of replaying poison. It is the only
+// format: a journal that does not start with this header — headerless
+// version 1, a "version":2 header, a future version — is rejected as
+// ErrJournalCorrupt, never parsed on trust or appended to.
 const (
 	journalName    = "quicbench-sweep"
 	journalVersion = 3
 )
-
-// EnvJournalENOSPC is a chaos hook for the fabric soak: when set to a byte
-// count, a Journal fails appends with ENOSPC once that many bytes have
-// been written past open — delivering a torn partial line first, exactly
-// like a disk filling up mid-append. Recovery must then truncate the torn
-// tail and resume bit-identically.
-const EnvJournalENOSPC = "QUICBENCH_TEST_JOURNAL_ENOSPC"
 
 // journalHeader is the first line of a versioned journal. The "journal"
 // field doubles as the header discriminator: records never carry it, so a
@@ -51,7 +46,7 @@ type journalHeader struct {
 	Version int    `json:"version"`
 }
 
-// journalLine is one version-3 record line: the record itself plus its
+// journalLine is one record line: the record itself plus its
 // integrity fields. CRC is the CRC-32C of the record's canonical JSON
 // bytes; Chain is the running chain hash — FNV-1a 64 over the previous
 // chain value and those same bytes — that binds the line to its exact
@@ -88,19 +83,15 @@ func chainSeed(headerLine []byte) string {
 }
 
 // Journal is an append-only JSONL checkpoint file: one record per line,
-// synced to disk per append so a crash loses at most the line being
-// written. Version-3 journals carry per-record CRC + chain-hash fields.
-// Appends are safe for concurrent use by the worker pool.
+// each carrying its CRC and chain hash, synced to disk per append so a
+// crash loses at most the line being written. Appends are safe for
+// concurrent use by the worker pool.
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
 	closed bool
-	// verified marks a version-3 journal: appends carry crc/chain fields
-	// and chain tracks the running hash. Appending to a legacy (v1/v2)
-	// journal keeps the legacy record format so the file stays
-	// self-consistent.
-	verified bool
-	chain    string
+	// chain is the running chain hash after the last line written.
+	chain string
 	// spaceLeft is the ENOSPC chaos budget (-1 = unlimited): once spent,
 	// appends tear mid-line and fail like a full disk.
 	spaceLeft int64
@@ -108,53 +99,29 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) the journal at path. With
 // appendMode the existing contents are kept — the resume path — except
-// for a torn final line (the signature of a crash mid-append) and, on a
-// version-3 journal, any unverifiable suffix (bad CRC or chain hash),
-// both of which are truncated away so fresh records append at a clean,
-// trusted line boundary and the resumed journal stays byte-identical to
-// an uninterrupted run's.
+// for a torn final line (the signature of a crash mid-append) and any
+// unverifiable suffix (bad CRC or chain hash), both of which are truncated
+// away so fresh records append at a clean, trusted line boundary and the
+// resumed journal stays byte-identical to an uninterrupted run's.
 func OpenJournal(path string, appendMode bool) (*Journal, error) {
 	j := &Journal{spaceLeft: enospcBudget()}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	var resumeChain string
-	legacyAppend := false
-	if !appendMode {
-		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	} else {
-		data, err := os.ReadFile(path)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("runner: read journal: %w", err)
+	flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	if appendMode {
+		flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
+		_, info, err := RecoverJournal(path)
+		if err != nil {
+			return nil, err
 		}
-		if len(data) > 0 {
-			_, info, perr := ParseJournalVerified(data)
-			if perr != nil {
-				return nil, fmt.Errorf("runner: journal %s: %w", path, perr)
-			}
-			if info.GoodLen < len(data) {
-				if terr := os.Truncate(path, int64(info.GoodLen)); terr != nil {
-					return nil, fmt.Errorf("runner: truncate unverifiable journal tail: %w", terr)
-				}
-			}
-			if info.GoodLen > 0 {
-				legacyAppend = info.Legacy
-				resumeChain = info.LastChain
-			}
-		}
+		j.chain = info.LastChain
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runner: open journal: %w", err)
 	}
 	j.f = f
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runner: stat journal: %w", err)
-	}
-	switch {
-	case st.Size() == 0:
-		// Fresh (or fully truncated) journal: start a version-3 journal
-		// with its header, seeding the chain from the header bytes.
+	if j.chain == "" {
+		// No header survives (fresh, or truncated back to nothing): start
+		// the journal with one, seeding the chain from its bytes.
 		hdr, _ := json.Marshal(journalHeader{Journal: journalName, Version: journalVersion})
 		if err := j.write(append(hdr, '\n')); err != nil {
 			f.Close()
@@ -164,27 +131,14 @@ func OpenJournal(path string, appendMode bool) (*Journal, error) {
 			f.Close()
 			return nil, fmt.Errorf("runner: sync journal header: %w", err)
 		}
-		j.verified = true
 		j.chain = chainSeed(hdr)
-	case legacyAppend:
-		// A legacy journal keeps its legacy record format on append;
-		// mixing integrity fields into a v1/v2 file would corrupt it for
-		// older readers without protecting it for this one.
-		j.verified = false
-	default:
-		j.verified = true
-		j.chain = resumeChain
 	}
 	return j, nil
 }
 
-// enospcBudget reads the ENOSPC chaos hook (-1 = disabled).
+// enospcBudget reads the ENOSPC fault hook (-1 = disabled).
 func enospcBudget() int64 {
-	v := os.Getenv(EnvJournalENOSPC)
-	if v == "" {
-		return -1
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
+	n, err := strconv.ParseInt(faults.Hook(faults.EnvJournalENOSPC), 10, 64)
 	if err != nil || n < 0 {
 		return -1
 	}
@@ -213,8 +167,8 @@ func (j *Journal) write(p []byte) error {
 	return syscall.ENOSPC
 }
 
-// Append writes one record as a JSONL line — with CRC and chain-hash
-// integrity fields on a version-3 journal — and syncs it to disk.
+// Append writes one record as a JSONL line carrying its CRC and chain
+// hash, and syncs it to disk.
 func (j *Journal) Append(rec Record) error {
 	recBytes, err := json.Marshal(rec)
 	if err != nil {
@@ -225,21 +179,15 @@ func (j *Journal) Append(rec Record) error {
 	if j.closed {
 		return fmt.Errorf("append to closed journal")
 	}
-	line := recBytes
-	var nextChain string
-	if j.verified {
-		nextChain = chainNext(j.chain, recBytes)
-		line, err = json.Marshal(journalLine{Record: rec, CRC: crcHex(recBytes), Chain: nextChain})
-		if err != nil {
-			return fmt.Errorf("marshal record %q: %w", rec.Key, err)
-		}
+	nextChain := chainNext(j.chain, recBytes)
+	line, err := json.Marshal(journalLine{Record: rec, CRC: crcHex(recBytes), Chain: nextChain})
+	if err != nil {
+		return fmt.Errorf("marshal record %q: %w", rec.Key, err)
 	}
 	if err := j.write(append(line, '\n')); err != nil {
 		return fmt.Errorf("append record %q: %w", rec.Key, err)
 	}
-	if j.verified {
-		j.chain = nextChain
-	}
+	j.chain = nextChain
 	return j.f.Sync()
 }
 
@@ -285,44 +233,35 @@ func ReadJournalTail(path string) (map[string]Record, bool, error) {
 // RecoveryInfo reports what journal verification found and what recovery
 // had to discard.
 type RecoveryInfo struct {
-	// Legacy marks a headerless v1 or headered v2 journal: records carry
-	// no integrity fields, so only structural damage is detectable.
-	Legacy bool
 	// TornTail reports an unterminated final line (crash or full disk
 	// mid-append), dropped from the parse.
 	TornTail bool
-	// CorruptSuffix reports that a version-3 record failed its CRC or
-	// chain-hash check; it and everything after it were discarded, and
-	// only the verified prefix was returned.
+	// CorruptSuffix reports that a record failed its CRC or chain-hash
+	// check; it and everything after it were discarded, and only the
+	// verified prefix was returned.
 	CorruptSuffix bool
 	// BadLine is the 1-based line number of the first unverifiable line
 	// (0 when the journal verified end to end).
 	BadLine int
-	// GoodLen is the byte length of the verified (or, legacy, parseable)
-	// prefix — the truncation point recovery uses.
+	// GoodLen is the byte length of the verified prefix — the truncation
+	// point recovery uses.
 	GoodLen int
 	// Records counts record lines in the returned prefix.
 	Records int
 	// LastChain is the chain-hash state after the verified prefix, used
-	// to continue appending (version 3 only).
+	// to continue appending ("" when the prefix holds no header).
 	LastChain string
 }
 
 // ParseJournal replays raw JSONL journal bytes into a map of the last
-// record per trial key. It never panics: any malformed input — bad JSON, a
-// non-object line, a record without a key, a version-3 record failing its
-// CRC or chain check — is reported as an error matching ErrJournalCorrupt,
-// with one exception: an *unterminated* final line is the signature of a
-// crash mid-write and is silently dropped (that trial simply re-executes
-// on resume). A malformed line that ends in a newline was a completed
-// write and is treated as corruption like any interior damage — a clean
-// crash never produces one.
-//
-// A version header on the first line is validated: a mismatched name or an
-// unknown version is ErrJournalCorrupt (a journal from a future format
-// must never be silently misread as records). A headerless journal is the
-// legacy version-1 format and a version-2 header the pre-integrity format;
-// both parse without per-record verification.
+// record per trial key. It never panics: any malformed input — a first
+// line that is not this format's header, bad JSON, a record without a key
+// or failing its CRC or chain check — is reported as an error matching
+// ErrJournalCorrupt, with one exception: an *unterminated* final line is
+// the signature of a crash mid-write and is silently dropped (that trial
+// simply re-executes on resume). A malformed line that ends in a newline
+// was a completed write and is treated as corruption like any interior
+// damage — a clean crash never produces one.
 func ParseJournal(data []byte) (map[string]Record, error) {
 	done, _, err := ParseJournalTail(data)
 	return done, err
@@ -343,121 +282,82 @@ func ParseJournalTail(data []byte) (map[string]Record, bool, error) {
 }
 
 // ParseJournalVerified is the lenient, integrity-checking parser behind
-// resume recovery: instead of failing on a damaged version-3 journal it
-// returns the longest verifiable prefix plus a RecoveryInfo describing
-// what was discarded, so callers can truncate to the trusted prefix and
-// re-execute the rest. It never panics on any input. Errors — matching
-// ErrJournalCorrupt — are reserved for damage recovery cannot scope: a
-// header from a different format, or interior corruption in a legacy
-// journal that carries no integrity fields to verify a prefix against.
+// resume recovery: instead of failing on a damaged journal it returns the
+// longest verifiable prefix plus a RecoveryInfo describing what was
+// discarded, so callers can truncate to the trusted prefix and re-execute
+// the rest. It never panics on any input. The one error — matching
+// ErrJournalCorrupt and naming the offending version — is a first line
+// that is not this format's header: there is then no chain to verify
+// anything against, so nothing is parsed and nothing may be truncated.
 func ParseJournalVerified(data []byte) (map[string]Record, RecoveryInfo, error) {
 	done := make(map[string]Record)
 	info := RecoveryInfo{}
-	chain := ""
-	verified := false
-	headerChecked := false
 	lineNo := 0
 	for offset := 0; offset < len(data); {
 		lineNo++
-		var line []byte
-		var end int // offset just past this line, including its newline
-		terminated := false
-		if idx := bytes.IndexByte(data[offset:], '\n'); idx >= 0 {
-			line = data[offset : offset+idx]
-			end = offset + idx + 1
-			terminated = true
-		} else {
-			line = data[offset:]
-			end = len(data)
+		line, end, terminated := data[offset:], len(data), false
+		if idx := bytes.IndexByte(line, '\n'); idx >= 0 {
+			line, end, terminated = line[:idx], offset+idx+1, true
 		}
+		offset = end
 		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
+		switch {
+		case len(trimmed) == 0:
 			// Blank lines never appear in a journal this package wrote;
 			// tolerate terminated ones, ignore trailing spaces at EOF.
 			if terminated {
 				info.GoodLen = end
 			}
-			offset = end
 			continue
-		}
-		if !headerChecked {
-			headerChecked = true
-			var h journalHeader
-			if err := json.Unmarshal(trimmed, &h); err == nil && h.Journal != "" {
-				if h.Journal != journalName {
-					return nil, info, fmt.Errorf("line %d: journal header %q (this binary reads %q): %w",
-						lineNo, h.Journal, journalName, ErrJournalCorrupt)
-				}
-				if !terminated {
-					info.TornTail = true
-					return done, info, nil
-				}
-				switch h.Version {
-				case journalVersion:
-					verified = true
-					chain = chainSeed(line)
-					info.LastChain = chain
-				case 2:
-					info.Legacy = true
-				default:
-					return nil, info, fmt.Errorf("line %d: journal header version %d (this binary reads versions 1-%d): %w",
-						lineNo, h.Version, journalVersion, ErrJournalCorrupt)
-				}
-				info.GoodLen = end
-				offset = end
-				continue
+		case !terminated:
+			// An unterminated final line is a torn append even when it
+			// happens to verify: drop it so appends restart at a clean
+			// boundary.
+			info.TornTail = true
+			return done, info, nil
+		case info.LastChain == "":
+			if err := checkHeader(trimmed); err != nil {
+				return nil, info, fmt.Errorf("line %d: %w", lineNo, err)
 			}
-			// No header at all: the headerless legacy version-1 format.
-			info.Legacy = true
-		}
-		if verified {
-			ok, recBytes, ln := verifyLine(trimmed, chain)
-			if !ok || !terminated {
-				// An unterminated final line is a torn append even when it
-				// happens to verify: drop it so appends restart at a clean
-				// boundary. A terminated line that fails verification marks
-				// the end of the trustworthy prefix.
-				if !terminated {
-					info.TornTail = true
-				} else {
-					info.CorruptSuffix = true
-					info.BadLine = lineNo
-				}
+			info.LastChain = chainSeed(line)
+		default:
+			ok, recBytes, ln := verifyLine(trimmed, info.LastChain)
+			if !ok {
+				// A terminated line that fails verification marks the end
+				// of the trustworthy prefix.
+				info.CorruptSuffix = true
+				info.BadLine = lineNo
 				return done, info, nil
 			}
-			chain = chainNext(chain, recBytes)
+			info.LastChain = chainNext(info.LastChain, recBytes)
 			done[ln.Key] = ln.Record
 			info.Records++
-			info.LastChain = chain
-			info.GoodLen = end
-			offset = end
-			continue
 		}
-		// Legacy record: structural checks only.
-		var rec Record
-		if err := json.Unmarshal(trimmed, &rec); err != nil {
-			if !terminated {
-				info.TornTail = true
-				return done, info, nil
-			}
-			return nil, info, fmt.Errorf("line %d: %v: %w", lineNo, err, ErrJournalCorrupt)
-		}
-		if rec.Key == "" {
-			if !terminated {
-				info.TornTail = true
-				return done, info, nil
-			}
-			return nil, info, fmt.Errorf("line %d: record without key: %w", lineNo, ErrJournalCorrupt)
-		}
-		done[rec.Key] = rec
-		info.Records++
 		info.GoodLen = end
-		offset = end
 	}
 	return done, info, nil
 }
 
-// verifyLine checks one version-3 record line: parseable, keyed, CRC
+// checkHeader validates a journal's first line: it must be this format's
+// header at this format's version. Anything else — a record (the
+// headerless version-1 format), a version-2 header, a future version,
+// another program's file — matches ErrJournalCorrupt.
+func checkHeader(line []byte) error {
+	var h journalHeader
+	switch err := json.Unmarshal(line, &h); {
+	case err != nil || h.Journal == "":
+		return fmt.Errorf("no journal header: a headerless (version 1) journal, or not a journal; this binary reads version %d only: %w",
+			journalVersion, ErrJournalCorrupt)
+	case h.Journal != journalName:
+		return fmt.Errorf("journal header %q (this binary reads %q): %w", h.Journal, journalName, ErrJournalCorrupt)
+	case h.Version != journalVersion:
+		return fmt.Errorf("journal header version %d (this binary reads version %d only): %w",
+			h.Version, journalVersion, ErrJournalCorrupt)
+	}
+	return nil
+}
+
+// verifyLine checks one record line: parseable, keyed, CRC
 // matching its canonical record bytes, chain hash matching its position.
 func verifyLine(line []byte, chain string) (bool, []byte, journalLine) {
 	var ln journalLine
@@ -475,8 +375,8 @@ func verifyLine(line []byte, chain string) (bool, []byte, journalLine) {
 }
 
 // RecoverJournal reads and verifies the journal at path for resumption,
-// repairing it on disk: a torn final line and (version 3) any
-// unverifiable suffix are truncated away, so what remains — and what
+// repairing it on disk: a torn final line and any unverifiable suffix are
+// truncated away, so what remains — and what
 // resume replays — is exactly the verified prefix. A missing file is an
 // empty journal.
 func RecoverJournal(path string) (map[string]Record, RecoveryInfo, error) {

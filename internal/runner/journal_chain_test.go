@@ -10,6 +10,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // chainTrials builds n deterministic trials keyed t-00..t-0(n-1).
@@ -175,7 +177,7 @@ func TestJournalENOSPCTornResume(t *testing.T) {
 	// Budget: header + first record + part of the second.
 	budget := len(lines[0]) + len(lines[1]) + 10
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	t.Setenv(EnvJournalENOSPC, fmt.Sprintf("%d", budget))
+	t.Setenv(faults.EnvJournalENOSPC, fmt.Sprintf("%d", budget))
 	cfg := Config{Workers: 1, sleep: noSleep}
 	_, err := RunCheckpointed(context.Background(), cfg, chainTrials(4), path, false)
 	if !errors.Is(err, syscall.ENOSPC) {
@@ -185,7 +187,7 @@ func TestJournalENOSPCTornResume(t *testing.T) {
 		t.Fatalf("torn journal is %d bytes, want the %d-byte budget", len(got), budget)
 	}
 
-	os.Unsetenv(EnvJournalENOSPC)
+	os.Unsetenv(faults.EnvJournalENOSPC)
 	var warnings []string
 	cfg.Warnf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -205,29 +207,58 @@ func TestJournalENOSPCTornResume(t *testing.T) {
 	}
 }
 
-// Appending to a legacy (pre-integrity) journal keeps the legacy record
-// format, so the file stays uniform and older readers keep working.
-func TestJournalLegacyAppendStaysLegacy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	legacy := `{"journal":"quicbench-sweep","version":2}` + "\n" +
-		`{"key":"a","seed":1,"outcome":"ok","attempts":1}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
+// legacyJournals are the two retired formats: complete, well-formed files
+// an older binary could have written.
+var legacyJournals = map[string]string{
+	"1": `{"key":"a","seed":1,"outcome":"ok","attempts":1}` + "\n",
+	"2": `{"journal":"quicbench-sweep","version":2}` + "\n" +
+		`{"key":"a","seed":1,"outcome":"ok","attempts":1}` + "\n",
+}
+
+// TestJournalLegacyVersionsRejected: headerless version-1 and headered
+// version-2 input is typed corruption naming the version — by every
+// parser, never parsed on trust.
+func TestJournalLegacyVersionsRejected(t *testing.T) {
+	for version, data := range legacyJournals {
+		_, err := ParseJournal([]byte(data))
+		if !errors.Is(err, ErrJournalCorrupt) {
+			t.Errorf("v%s journal: ParseJournal error %v, want ErrJournalCorrupt", version, err)
+		} else if !strings.Contains(err.Error(), "version "+version) {
+			t.Errorf("v%s journal: error %q does not name the version", version, err)
+		}
+		if done, _, verr := ParseJournalVerified([]byte(data)); !errors.Is(verr, ErrJournalCorrupt) || done != nil {
+			t.Errorf("v%s journal: ParseJournalVerified returned %v, %v; want no records and ErrJournalCorrupt", version, done, verr)
+		}
 	}
-	j, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Key: "b", Seed: 2, Outcome: OutcomeOK, Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	data, _ := os.ReadFile(path)
-	if bytes.Contains(data, []byte(`"crc"`)) {
-		t.Errorf("append to a v2 journal added integrity fields:\n%s", data)
-	}
-	done, err := ReadJournal(path)
-	if err != nil || len(done) != 2 {
-		t.Errorf("legacy journal after append: %d records, err %v", len(done), err)
+}
+
+// TestResumeLegacyJournalFailsUntouched: -resume (RunCheckpointed, and
+// OpenJournal in append mode behind it) on a version-1 or version-2 file
+// fails loudly with the typed error, executes nothing, and leaves the file
+// byte-for-byte as it found it — never truncated, never appended to.
+func TestResumeLegacyJournalFailsUntouched(t *testing.T) {
+	for version, data := range legacyJournals {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		trial := Trial{Key: "b", Seed: 2, Run: func(context.Context) (any, error) {
+			ran = true
+			return result("b", 2), nil
+		}}
+		_, err := RunCheckpointed(context.Background(), Config{sleep: noSleep}, []Trial{trial}, path, true)
+		if !errors.Is(err, ErrJournalCorrupt) || !strings.Contains(err.Error(), "version "+version) {
+			t.Errorf("v%s journal: resume error %v, want ErrJournalCorrupt naming the version", version, err)
+		}
+		if ran {
+			t.Errorf("v%s journal: resume executed a trial against a rejected journal", version)
+		}
+		if _, err := OpenJournal(path, true); !errors.Is(err, ErrJournalCorrupt) {
+			t.Errorf("v%s journal: append-mode open error %v, want ErrJournalCorrupt", version, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != data {
+			t.Errorf("v%s journal modified by the refused resume:\nwant %q\ngot  %q", version, data, got)
+		}
 	}
 }

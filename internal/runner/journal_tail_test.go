@@ -3,7 +3,6 @@ package runner
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -16,8 +15,7 @@ import (
 // write, not a crash artifact — it must be treated as corruption, unlike
 // the torn (unterminated) tail a crash leaves.
 func TestJournalTerminatedMalformedFinalLineFatal(t *testing.T) {
-	good, _ := json.Marshal(Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1})
-	data := append(append([]byte{}, good...), '\n')
+	data := writtenJournal(t, Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1})
 	data = append(data, []byte("{\"key\":\"b\",\"outco\n")...) // terminated garbage
 	if _, err := ParseJournal(data); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("newline-terminated malformed final line: got %v, want ErrJournalCorrupt", err)
@@ -40,9 +38,8 @@ func TestJournalTerminatedMalformedFinalLineFatal(t *testing.T) {
 func TestReadJournalTailReportsTruncation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
-	line, _ := json.Marshal(Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1})
-	content := append(append([]byte{}, line...), '\n')
-	if err := os.WriteFile(path, append(content, []byte(`{"key":"b"`)...), 0o644); err != nil {
+	content := writtenJournal(t, Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1})
+	if err := os.WriteFile(path, append(content[:len(content):len(content)], []byte(`{"key":"b"`)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	done, truncated, err := ReadJournalTail(path)

@@ -330,9 +330,8 @@ func TestJournalTruncatedFinalLineTolerated(t *testing.T) {
 	path := filepath.Join(dir, "j.jsonl")
 	raw, _ := json.Marshal(result("a", 1))
 	rec := Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1, Hash: hashBytes(raw), Result: raw}
-	line, _ := json.Marshal(rec)
-	content := append(append([]byte{}, line...), '\n')
-	content = append(content, []byte(`{"key":"b","outcome":"ok","att`)...) // crash mid-append
+	intact := writtenJournal(t, rec)
+	content := append(intact[:len(intact):len(intact)], []byte(`{"key":"b","outcome":"ok","att`)...) // crash mid-append
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +347,8 @@ func TestJournalTruncatedFinalLineTolerated(t *testing.T) {
 	}
 
 	// A malformed *interior* line is corruption, not a crash artifact.
-	content = append([]byte(`{"key":"a","outcome`+"\n"), line...)
-	content = append(content, '\n')
+	hdr, recLine, _ := strings.Cut(string(intact), "\n")
+	content = []byte(hdr + "\n" + `{"key":"a","outcome` + "\n" + recLine)
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -451,19 +450,6 @@ func TestJournalVersionMismatch(t *testing.T) {
 		} else if !errors.Is(err, ErrJournalCorrupt) {
 			t.Errorf("header %s: untyped error %v", hdr, err)
 		}
-	}
-}
-
-// TestJournalHeaderlessLegacy: journals written before the header existed
-// keep parsing (the legacy version-1 format).
-func TestJournalHeaderlessLegacy(t *testing.T) {
-	data := []byte(`{"key":"a","outcome":"ok","attempts":1}` + "\n")
-	done, err := ParseJournal(data)
-	if err != nil {
-		t.Fatalf("headerless journal rejected: %v", err)
-	}
-	if _, ok := done["a"]; !ok {
-		t.Error("headerless record lost")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/isolate"
 	"repro/internal/runner"
 )
@@ -94,7 +95,7 @@ func TestIsolatedSweepBitIdentical(t *testing.T) {
 // as a timeout, retried to its budget, and the sweep still completes with
 // the wedged cell annotated failed and its neighbour healthy.
 func TestIsolatedSweepWedgeClassified(t *testing.T) {
-	t.Setenv(isolate.EnvWedge, "lsquic")
+	t.Setenv(faults.EnvWedge, "lsquic")
 	opts := isolatedTestOpts()
 	opts.Retries = 2
 	opts.IsolateStallTimeout = 500 * time.Millisecond
@@ -133,7 +134,7 @@ func TestIsolatedSweepWedgeClassified(t *testing.T) {
 // recovered by the child, reported over the pipe, and journaled exactly
 // like an in-process panic.
 func TestIsolatedSweepPanicClassified(t *testing.T) {
-	t.Setenv(isolate.EnvPanic, "lsquic")
+	t.Setenv(faults.EnvPanic, "lsquic")
 	opts := isolatedTestOpts()
 	opts.Retries = 2
 

@@ -305,13 +305,15 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 		return nil, err
 	}
 	cfg := core.SweepConfig{
-		Workers:       opts.Workers,
-		MaxAttempts:   opts.Retries,
+		Config: runner.Config{
+			Workers:     opts.Workers,
+			MaxAttempts: opts.Retries,
+			Seed:        opts.Seed,
+			Warnf:       opts.Logf,
+		},
 		TrialDeadline: sim.Duration(opts.TrialTimeout),
-		Seed:          opts.Seed,
 		Checkpoint:    opts.Checkpoint,
 		Resume:        opts.Resume,
-		Warnf:         opts.Logf,
 		Trace:         core.TraceOptions{Dir: opts.TraceDir, Packets: opts.TracePackets},
 	}
 
@@ -611,17 +613,21 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 }
 
 // TrialChildMain is the body of the hidden `quicbench _trial` mode — the
-// child half of sweep isolation. It speaks the internal/isolate protocol
-// on stdin/stdout (spec in, heartbeats and result out) and executes one
-// sweep cell through the exact code path the in-process executor uses, so
-// isolated and in-process results are bit-identical. It returns the
-// process exit code. Test binaries reach it through TestMain when the
+// child half of sweep isolation: a one-slot fabric worker on stdin/stdout
+// (the supervision parameters ride the tail of os.Args, see
+// isolate.ChildMain) executing its one sweep cell through execCell, the
+// exact code path the in-process executor and `quicbench worker` use, so
+// results are bit-identical across executors. It returns the process exit
+// code. Test binaries reach it through TestMain when the
 // isolate.ChildEnvMarker environment variable is set.
 func TrialChildMain() int {
-	return isolate.ChildMain(os.Stdin, os.Stdout,
-		func(ctx context.Context, spec isolate.TrialSpec) (json.RawMessage, error) {
-			return core.ExecuteCellSpec(ctx, spec.Payload)
-		})
+	return isolate.ChildMain(os.Args, os.Stdin, os.Stdout, execCell)
+}
+
+// execCell runs one assignment's payload — a marshalled
+// core.CellTrialSpec — on whichever fabric worker received it.
+func execCell(ctx context.Context, key string, seed uint64, payload json.RawMessage) (json.RawMessage, error) {
+	return core.ExecuteCellSpec(ctx, payload)
 }
 
 // RenderSweep writes the outcome-annotated sweep table and summary line.
