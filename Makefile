@@ -1,7 +1,7 @@
 GO ?= go
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak live-smoke bench bench-check
+.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak live-smoke
 
 ## check: the PR gate — formatting, vet, the fault-hook lookup lint, the
 ## benchmark harness's own build and tests, and the race-enabled suite.
@@ -81,23 +81,6 @@ live-smoke:
 	/tmp/quicbench-live-smoke live -stacks quicgo -ccas cubic -duration 2s -trials 2 -seed 7 -budget 100
 	@rm -f /tmp/quicbench-live-smoke /tmp/quicbench-live-smoke.jsonl /tmp/quicbench-live-smoke.status.jsonl
 	@echo "live-smoke: ok"
-
-## bench: run the pinned-seed benchmark suite (internal/bench), refresh
-## the committed baseline BENCH_sim.json (ns/op, allocs/op, events/sec),
-## and append the run to the committed perf trajectory so `quicbench
-## perf` can render the trend across PRs. BENCH_LABEL names the entry.
-BENCH_LABEL ?= dev
-bench:
-	$(GO) run ./cmd/quicbench bench -out BENCH_sim.json \
-		-append BENCH_trajectory.jsonl -label "$(BENCH_LABEL)"
-
-## bench-check: the perf regression gate — a fresh suite run compared
-## against the committed baseline. Only the deterministic work metrics
-## (allocs/op, bytes/op, events/op) are gated, at 10% tolerance; timing is
-## reported but not compared, since the baseline may come from different
-## hardware. The fresh report lands in BENCH_sim.ci.json for CI to upload.
-bench-check:
-	$(GO) run ./cmd/quicbench bench -out BENCH_sim.ci.json -compare BENCH_sim.json
 
 ## chaos: quick demo of the fault-injection degradation sweep.
 chaos:

@@ -79,46 +79,53 @@ import (
 	quicbench "repro"
 )
 
-func main() {
+// subcommands maps each first-argument word to its entry point, which
+// takes the remaining arguments and returns the process exit code.
+var subcommands = map[string]func([]string) int{
 	// Hidden trial-child mode: the parent half lives in internal/isolate
 	// and `quicbench sweep -isolate`. Not part of the CLI surface.
-	if len(os.Args) > 1 && os.Args[1] == "_trial" {
-		os.Exit(quicbench.TrialChildMain())
+	"_trial":   func([]string) int { return quicbench.TrialChildMain() },
+	"chaos":    chaosMain,
+	"sweep":    sweepMain,
+	"worker":   workerMain,
+	"manyflow": manyflowMain,
+	"live":     liveMain,
+	"trace":    traceMain,
+}
+
+func main() {
+	os.Exit(dispatch(os.Args[1:]))
+}
+
+// dispatch routes a leading non-flag word to its subcommand and everything
+// else to the experiment catalog. A word that names no subcommand is an
+// error, not a request for the experiment list.
+func dispatch(args []string) int {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return expMain(args)
 	}
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		os.Exit(chaosMain(os.Args[2:]))
+	sub, ok := subcommands[args[0]]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "quicbench: unknown subcommand %q\n", args[0])
+		return 2
 	}
-	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		os.Exit(sweepMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		os.Exit(workerMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "manyflow" {
-		os.Exit(manyflowMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "live" {
-		os.Exit(liveMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		os.Exit(benchMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "perf" {
-		os.Exit(perfMain(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		os.Exit(traceMain(os.Args[2:]))
-	}
+	return sub(args[1:])
+}
+
+// expMain implements the experiment catalog (-list, -exp) and returns the
+// process exit code.
+func expMain(args []string) int {
+	fs := flag.NewFlagSet("quicbench", flag.ExitOnError)
 	var (
-		list     = flag.Bool("list", false, "list available experiments")
-		exp      = flag.String("exp", "", "experiment id (e.g. fig6, tab3) or 'all'")
-		scale    = flag.String("scale", "quick", "quick or full")
-		plots    = flag.String("plots", "", "directory for SVG plots (optional)")
-		duration = flag.Duration("duration", 0, "override flow duration (e.g. 60s)")
-		trials   = flag.Int("trials", 0, "override trial count")
-		seed     = flag.Uint64("seed", 0, "override random seed")
+		list     = fs.Bool("list", false, "list available experiments")
+		exp      = fs.String("exp", "", "experiment id (e.g. fig6, tab3) or 'all'")
+		scale    = fs.String("scale", "quick", "quick or full")
+		plots    = fs.String("plots", "", "directory for SVG plots (optional)")
+		duration = fs.Duration("duration", 0, "override flow duration (e.g. 60s)")
+		trials   = fs.Int("trials", 0, "override trial count")
+		seed     = fs.Uint64("seed", 0, "override random seed")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
@@ -128,7 +135,7 @@ func main() {
 		if *exp == "" {
 			fmt.Println("\nrun one with: quicbench -exp <id> [-scale full] [-plots dir]")
 		}
-		return
+		return 0
 	}
 
 	sc := quicbench.Quick
@@ -136,7 +143,7 @@ func main() {
 		sc = quicbench.Full
 	} else if *scale != "quick" {
 		fmt.Fprintf(os.Stderr, "unknown -scale %q (want quick or full)\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 	if *duration != 0 {
 		sc.Duration = *duration
@@ -164,20 +171,21 @@ func main() {
 		for _, e := range quicbench.Experiments() {
 			if err := run(e); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 	e, ok := quicbench.LookupExperiment(*exp)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-		os.Exit(2)
+		return 2
 	}
 	if err := run(e); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // chaosMain implements the `quicbench chaos` subcommand and returns the

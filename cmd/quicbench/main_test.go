@@ -1,0 +1,53 @@
+package main
+
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// runCLI drives dispatch in-process with os.Stderr captured, returning the
+// exit code and everything the run printed there.
+func runCLI(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	captured := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		captured <- string(b)
+	}()
+	code := dispatch(args)
+	os.Stderr = saved
+	w.Close()
+	return code, <-captured
+}
+
+// A leading word routes to its subcommand, a leading flag to the experiment
+// catalog, and a word that names no subcommand is an error. Regression: an
+// unmatched word (a typo, or the retired `bench`/`perf`) fell through to the
+// experiment flag set, printed the experiment list and exited 0.
+func TestDispatch(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"chaos", "-loss", "abc"}, 2, `chaos: bad -loss entry "abc"`},
+		{[]string{"sweeep"}, 2, `quicbench: unknown subcommand "sweeep"`},
+		{[]string{"bench"}, 2, `quicbench: unknown subcommand "bench"`},
+		{[]string{"perf", "-trajectory", "x"}, 2, `quicbench: unknown subcommand "perf"`},
+		{[]string{"-exp", "nosuch"}, 2, `unknown experiment "nosuch"`},
+	} {
+		code, stderr := runCLI(t, c.args...)
+		if code != c.code || !strings.Contains(stderr, c.stderr) {
+			t.Errorf("quicbench %s: exit %d, stderr %q; want exit %d with %q",
+				strings.Join(c.args, " "), code, stderr, c.code, c.stderr)
+		}
+	}
+}

@@ -2,32 +2,17 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// runSweep drives sweepMain in-process with os.Stderr captured, returning
-// the exit code and everything the run printed there.
+// runSweep drives `quicbench sweep` in-process, returning the exit code
+// and everything the run printed to stderr.
 func runSweep(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stderr
-	os.Stderr = w
-	captured := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		captured <- string(b)
-	}()
-	code := sweepMain(args)
-	os.Stderr = saved
-	w.Close()
-	return code, <-captured
+	return runCLI(t, append([]string{"sweep"}, args...)...)
 }
 
 // smokeArgs is a two-cell sweep small enough for the unit suite.

@@ -15,16 +15,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Typed configuration errors, reported by KMeansE.
-var (
-	// ErrBadK marks a non-positive cluster count.
-	ErrBadK = errors.New("cluster: k must be positive")
-	// ErrTooFewPoints marks a request to split fewer points than clusters;
-	// the permissive KMeans handles it with singleton clusters, but
-	// pipeline code that needs a real partition should treat it as a
-	// degenerate input.
-	ErrTooFewPoints = errors.New("cluster: fewer points than clusters")
-)
+// ErrBadK marks a non-positive cluster count.
+var ErrBadK = errors.New("cluster: k must be positive")
 
 // Result is the outcome of one k-means run.
 type Result struct {
@@ -47,24 +39,9 @@ func (r *Result) Clusters(pts []geom.Point) [][]geom.Point {
 	return out
 }
 
-// KMeansE clusters pts into k groups, reporting configuration problems as
-// typed errors instead of panicking: ErrBadK for k <= 0 and
-// ErrTooFewPoints (alongside the permissive singleton-cluster result) when
-// k exceeds the point count.
-func KMeansE(pts []geom.Point, k int, rng *stats.RNG) (*Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
-	}
-	res := KMeans(pts, k, rng)
-	if k > len(pts) {
-		return res, fmt.Errorf("%w: %d points, k=%d", ErrTooFewPoints, len(pts), k)
-	}
-	return res, nil
-}
-
 // KMeans clusters pts into k groups using Lloyd's algorithm with
 // k-means++ seeding. The rng makes runs deterministic. It panics when
-// k <= 0 (KMeansE reports it as an error); the panic value is an error
+// k <= 0; the panic value is an error
 // wrapping ErrBadK so recover paths can match it with errors.Is. When
 // k >= len(pts), each point is its own cluster.
 func KMeans(pts []geom.Point, k int, rng *stats.RNG) *Result {

@@ -410,56 +410,61 @@ func runTrial(a, b Flow, n Network, trial int, imp *Impairment, bounds Bounds, t
 	return res, zeroErr
 }
 
+// trialSet runs n.Trials trials of test sharing the bottleneck with ref and
+// returns the per-trial sample sets of the *test* flow. offset shifts the
+// trial indices in the seed space; role ("test" or "ref") names the set in
+// trace files and errors. A failing trial ends the set with its error,
+// unless lenient: then degenerate outcomes are used as-is and no error is
+// reported.
+func trialSet(test, ref Flow, n Network, offset int, role string, lenient bool,
+	imp *Impairment, bounds Bounds, ct *cellTracer) ([][]geom.Point, error) {
+	n = n.withDefaults()
+	trials := make([][]geom.Point, n.Trials)
+	for t := range trials {
+		tt, err := ct.open(role, t, t+offset, n.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s trial %d: %w", role, t, err)
+		}
+		res, err := runTrial(test, ref, n, t+offset, imp, bounds, tt)
+		if cerr := tt.close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		if err != nil && !lenient {
+			return nil, fmt.Errorf("%s trial %d: %w", role, t, err)
+		}
+		trials[t] = res.Points(0, n)
+	}
+	return trials, nil
+}
+
+// refOffset separates reference trials from test trials in the seed space,
+// so they do not mirror each other packet-for-packet.
+const refOffset = 1000
+
 // TestTrials measures the test implementation competing against the kernel
 // reference of the same CCA (§3.1), returning per-trial sample sets of the
 // *test* flow.
 func TestTrials(test Flow, n Network) [][]geom.Point {
-	n = n.withDefaults()
-	ref := Flow{Stack: stacks.Reference(), CCA: test.CCA}
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		res := RunTrial(test, ref, n, t)
-		trials[t] = res.Points(0, n)
-	}
-	return trials
+	return TestTrialsAgainst(test, Flow{Stack: stacks.Reference(), CCA: test.CCA}, n)
 }
 
 // TestTrialsAgainst is TestTrials with an explicit competitor reference
 // (used by Table 4's "TCP CUBIC w/o HyStart" comparison).
 func TestTrialsAgainst(test, ref Flow, n Network) [][]geom.Point {
-	n = n.withDefaults()
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		res := RunTrial(test, ref, n, t)
-		trials[t] = res.Points(0, n)
-	}
+	trials, _ := trialSet(test, ref, n, 0, "test", true, nil, Bounds{}, nil)
 	return trials
 }
 
 // ReferenceTrials measures a kernel flow competing against another kernel
 // flow of the same CCA — the reference Performance Envelope's input.
 func ReferenceTrials(cca stacks.CCA, n Network) [][]geom.Point {
-	n = n.withDefaults()
-	ref := Flow{Stack: stacks.Reference(), CCA: cca}
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		// Offset the seed space so reference trials do not mirror test
-		// trials packet-for-packet.
-		res := RunTrial(ref, ref, n, t+1000)
-		trials[t] = res.Points(0, n)
-	}
-	return trials
+	return ReferenceTrialsFor(Flow{Stack: stacks.Reference(), CCA: cca}, n)
 }
 
 // ReferenceTrialsFor is ReferenceTrials with an explicit reference stack
 // variant (e.g. kernel without HyStart).
 func ReferenceTrialsFor(ref Flow, n Network) [][]geom.Point {
-	n = n.withDefaults()
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		res := RunTrial(ref, ref, n, t+1000)
-		trials[t] = res.Points(0, n)
-	}
+	trials, _ := trialSet(ref, ref, n, refOffset, "ref", true, nil, Bounds{}, nil)
 	return trials
 }
 
@@ -480,13 +485,6 @@ func ConformanceE(test Flow, n Network) (pe.Report, error) {
 	return conformanceImpaired(test, n, nil, Bounds{}, nil)
 }
 
-// ConformanceBounded is ConformanceE under supervision bounds, the entry
-// point of the supervised sweep runner: every underlying trial observes the
-// cancellation context and the per-trial virtual-clock deadline.
-func ConformanceBounded(test Flow, n Network, bounds Bounds) (pe.Report, error) {
-	return conformanceImpaired(test, n, nil, bounds, nil)
-}
-
 // ConformanceImpaired runs the conformance pipeline with the given fault
 // specification applied to every trial — test and reference alike, so both
 // envelopes are measured under the same impaired path.
@@ -495,67 +493,16 @@ func ConformanceImpaired(test Flow, n Network, imp Impairment) (pe.Report, error
 }
 
 func conformanceImpaired(test Flow, n Network, imp *Impairment, bounds Bounds, ct *cellTracer) (pe.Report, error) {
-	testTrials, err := testTrialsImpaired(test, n, imp, bounds, ct)
+	ref := Flow{Stack: stacks.Reference(), CCA: test.CCA}
+	testTrials, err := trialSet(test, ref, n, 0, "test", false, imp, bounds, ct)
 	if err != nil {
 		return pe.Report{}, err
 	}
-	refTrials, err := referenceTrialsImpaired(test.CCA, n, imp, bounds, ct)
+	refTrials, err := trialSet(ref, ref, n, refOffset, "ref", false, imp, bounds, ct)
 	if err != nil {
 		return pe.Report{}, err
 	}
 	return pe.EvaluateE(testTrials, refTrials, pe.Options{Seed: n.Seed})
-}
-
-// TestTrialsE is TestTrials with trial-level failures reported.
-func TestTrialsE(test Flow, n Network) ([][]geom.Point, error) {
-	return testTrialsImpaired(test, n, nil, Bounds{}, nil)
-}
-
-func testTrialsImpaired(test Flow, n Network, imp *Impairment, bounds Bounds, ct *cellTracer) ([][]geom.Point, error) {
-	n = n.withDefaults()
-	ref := Flow{Stack: stacks.Reference(), CCA: test.CCA}
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		tt, terr := ct.open("test", t, t, n.Seed)
-		if terr != nil {
-			return nil, fmt.Errorf("test trial %d: %w", t, terr)
-		}
-		res, err := runTrial(test, ref, n, t, imp, bounds, tt)
-		if cerr := tt.close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("test trial %d: %w", t, err)
-		}
-		trials[t] = res.Points(0, n)
-	}
-	return trials, nil
-}
-
-// ReferenceTrialsE is ReferenceTrials with trial-level failures reported.
-func ReferenceTrialsE(cca stacks.CCA, n Network) ([][]geom.Point, error) {
-	return referenceTrialsImpaired(cca, n, nil, Bounds{}, nil)
-}
-
-func referenceTrialsImpaired(cca stacks.CCA, n Network, imp *Impairment, bounds Bounds, ct *cellTracer) ([][]geom.Point, error) {
-	n = n.withDefaults()
-	ref := Flow{Stack: stacks.Reference(), CCA: cca}
-	trials := make([][]geom.Point, n.Trials)
-	for t := 0; t < n.Trials; t++ {
-		tt, terr := ct.open("ref", t, t+1000, n.Seed)
-		if terr != nil {
-			return nil, fmt.Errorf("reference trial %d: %w", t, terr)
-		}
-		res, err := runTrial(ref, ref, n, t+1000, imp, bounds, tt)
-		if cerr := tt.close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("reference trial %d: %w", t, err)
-		}
-		trials[t] = res.Points(0, n)
-	}
-	return trials, nil
 }
 
 // ConformanceAgainst evaluates test against an explicit reference flow.

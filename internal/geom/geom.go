@@ -9,8 +9,6 @@
 package geom
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -46,22 +44,6 @@ func cross(a, b, c Point) float64 {
 // Polygon is a convex polygon with vertices in CCW order. len < 3 denotes a
 // degenerate polygon with zero area.
 type Polygon []Point
-
-// ErrDegenerate marks a hull or polygon with zero area: fewer than 3
-// distinct non-collinear input points.
-var ErrDegenerate = errors.New("geom: degenerate polygon (fewer than 3 distinct non-collinear points)")
-
-// ConvexHullE returns the convex hull of pts, reporting ErrDegenerate
-// (wrapped with the point count) when the input spans no area. The
-// degenerate hull is still returned alongside the error so callers can
-// plot or log it.
-func ConvexHullE(pts []Point) (Polygon, error) {
-	hull := ConvexHull(pts)
-	if len(hull) < 3 {
-		return hull, fmt.Errorf("%w: %d input points", ErrDegenerate, len(pts))
-	}
-	return hull, nil
-}
 
 // ConvexHull returns the convex hull of pts in CCW order using Andrew's
 // monotone chain. Duplicate and collinear boundary points are removed.

@@ -88,47 +88,82 @@ func (o SampleOptions) Window() (start, end sim.Time) {
 	return trim, o.RunDuration - trim
 }
 
+// windows walks a flow trace's truncated measurement interval in
+// consecutive sampling windows, summing each window's delivered bytes and
+// RTT samples. Use: for w := newWindows(ft, opts); w.next(); { ... }.
+type windows struct {
+	ft     *FlowTrace
+	window sim.Time // window length
+	end    sim.Time // end of the truncated interval
+	di, ri int      // cursors into ft.Deliveries and ft.RTTs
+
+	// The current window, valid after next returns true.
+	start  sim.Time
+	bytes  int64
+	rttSum sim.Time
+	rttN   int
+}
+
+func newWindows(ft *FlowTrace, opts SampleOptions) windows {
+	opts = opts.withDefaults()
+	start, end := opts.Window()
+	w := windows{ft: ft, window: sim.Time(opts.SampleRTTs) * opts.BaseRTT, end: end}
+	// Advance past pre-window records.
+	for w.di < len(ft.Deliveries) && ft.Deliveries[w.di].Time < start {
+		w.di++
+	}
+	for w.ri < len(ft.RTTs) && ft.RTTs[w.ri].Time < start {
+		w.ri++
+	}
+	w.start = start - w.window // the first next steps onto start
+	return w
+}
+
+// next advances to the following window, reporting false once no whole
+// window fits before the end of the interval (at once when the interval is
+// empty or the window length is not positive).
+func (w *windows) next() bool {
+	w.start += w.window
+	wEnd := w.start + w.window
+	if w.window <= 0 || wEnd > w.end {
+		return false
+	}
+	ft := w.ft
+	w.bytes, w.rttSum, w.rttN = 0, 0, 0
+	for w.di < len(ft.Deliveries) && ft.Deliveries[w.di].Time < wEnd {
+		w.bytes += int64(ft.Deliveries[w.di].Bytes)
+		w.di++
+	}
+	for w.ri < len(ft.RTTs) && ft.RTTs[w.ri].Time < wEnd {
+		w.rttSum += ft.RTTs[w.ri].RTT
+		w.rttN++
+		w.ri++
+	}
+	return true
+}
+
+// mbps is the current window's delivered throughput in Mbit/s.
+func (w *windows) mbps() float64 {
+	return float64(w.bytes) * 8 / w.window.Seconds() / 1e6
+}
+
+// delayMs is the current window's mean RTT in milliseconds; the window
+// must hold at least one RTT sample.
+func (w *windows) delayMs() float64 {
+	return (w.rttSum / sim.Time(w.rttN)).Millis()
+}
+
 // Points converts a flow trace into (delay, throughput) samples on the
 // delay/throughput plane: X = mean RTT in the window in milliseconds,
 // Y = delivered throughput in the window in Mbit/s. Windows without both a
 // delivery and an RTT sample are skipped.
 func Points(ft *FlowTrace, opts SampleOptions) []geom.Point {
-	opts = opts.withDefaults()
-	start, end := opts.Window()
-	window := sim.Time(opts.SampleRTTs) * opts.BaseRTT
-	if window <= 0 || end <= start {
-		return nil
-	}
-
 	var pts []geom.Point
-	di, ri := 0, 0
-	// Advance past pre-window records.
-	for di < len(ft.Deliveries) && ft.Deliveries[di].Time < start {
-		di++
-	}
-	for ri < len(ft.RTTs) && ft.RTTs[ri].Time < start {
-		ri++
-	}
-	for wStart := start; wStart+window <= end; wStart += window {
-		wEnd := wStart + window
-		var bytes int64
-		for di < len(ft.Deliveries) && ft.Deliveries[di].Time < wEnd {
-			bytes += int64(ft.Deliveries[di].Bytes)
-			di++
-		}
-		var rttSum sim.Time
-		var rttN int
-		for ri < len(ft.RTTs) && ft.RTTs[ri].Time < wEnd {
-			rttSum += ft.RTTs[ri].RTT
-			rttN++
-			ri++
-		}
-		if bytes == 0 || rttN == 0 {
+	for w := newWindows(ft, opts); w.next(); {
+		if w.bytes == 0 || w.rttN == 0 {
 			continue
 		}
-		tputMbps := float64(bytes) * 8 / window.Seconds() / 1e6
-		delayMs := (rttSum / sim.Time(rttN)).Millis()
-		pts = append(pts, geom.Point{X: delayMs, Y: tputMbps})
+		pts = append(pts, geom.Point{X: w.delayMs(), Y: w.mbps()})
 	}
 	return pts
 }
@@ -146,40 +181,11 @@ type SeriesPoint struct {
 
 // Series extracts the full windowed time series.
 func Series(ft *FlowTrace, opts SampleOptions) []SeriesPoint {
-	opts = opts.withDefaults()
-	start, end := opts.Window()
-	window := sim.Time(opts.SampleRTTs) * opts.BaseRTT
-	if window <= 0 || end <= start {
-		return nil
-	}
 	var out []SeriesPoint
-	di, ri := 0, 0
-	for di < len(ft.Deliveries) && ft.Deliveries[di].Time < start {
-		di++
-	}
-	for ri < len(ft.RTTs) && ft.RTTs[ri].Time < start {
-		ri++
-	}
-	for wStart := start; wStart+window <= end; wStart += window {
-		wEnd := wStart + window
-		var bytes int64
-		for di < len(ft.Deliveries) && ft.Deliveries[di].Time < wEnd {
-			bytes += int64(ft.Deliveries[di].Bytes)
-			di++
-		}
-		var rttSum sim.Time
-		var rttN int
-		for ri < len(ft.RTTs) && ft.RTTs[ri].Time < wEnd {
-			rttSum += ft.RTTs[ri].RTT
-			rttN++
-			ri++
-		}
-		sp := SeriesPoint{
-			Time: wStart + window/2,
-			Mbps: float64(bytes) * 8 / window.Seconds() / 1e6,
-		}
-		if rttN > 0 {
-			sp.DelayMs = (rttSum / sim.Time(rttN)).Millis()
+	for w := newWindows(ft, opts); w.next(); {
+		sp := SeriesPoint{Time: w.start + w.window/2, Mbps: w.mbps()}
+		if w.rttN > 0 {
+			sp.DelayMs = w.delayMs()
 			sp.HasDelay = true
 		}
 		out = append(out, sp)

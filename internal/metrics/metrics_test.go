@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/sim"
 )
 
@@ -159,6 +161,44 @@ func TestTruncationRemovesTransient(t *testing.T) {
 	for _, p := range pts {
 		if p.Y < 5 {
 			t.Fatalf("transient sample leaked through truncation: %v", p)
+		}
+	}
+}
+
+// Points is Series with the windows that lack a delivery or an RTT sample
+// dropped: both read the same window walk, so over a random trace — bursty
+// enough that every kind of window (both, deliveries only, RTTs only,
+// neither) occurs — the kept samples must agree bit for bit.
+func TestPointsEqualsFilteredSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const duration = 20 * sim.Second
+	ft := &FlowTrace{}
+	for t := sim.Time(0); t < duration; t += sim.Time(rng.Int63n(int64(150 * sim.Millisecond))) {
+		ft.AddDelivery(t, 1+rng.Intn(1500))
+	}
+	for t := sim.Time(0); t < duration; t += sim.Time(rng.Int63n(int64(150 * sim.Millisecond))) {
+		ft.AddRTT(t, sim.Time(1+rng.Int63n(int64(80*sim.Millisecond))))
+	}
+	opts := SampleOptions{RunDuration: duration, BaseRTT: 7 * sim.Millisecond, SampleRTTs: 5}
+
+	var want []geom.Point
+	kinds := map[[2]bool]int{}
+	for _, sp := range Series(ft, opts) {
+		kinds[[2]bool{sp.Mbps > 0, sp.HasDelay}]++
+		if sp.Mbps > 0 && sp.HasDelay {
+			want = append(want, geom.Point{X: sp.DelayMs, Y: sp.Mbps})
+		}
+	}
+	if len(kinds) != 4 {
+		t.Fatalf("trace does not exercise every window kind: %v", kinds)
+	}
+	got := Points(ft, opts)
+	if len(got) != len(want) {
+		t.Fatalf("Points kept %d windows, filtered Series %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: Points %v, Series %v", i, got[i], want[i])
 		}
 	}
 }

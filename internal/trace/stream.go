@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/csv"
 	"io"
-	"strconv"
 
 	"repro/internal/netem"
 )
@@ -18,7 +17,6 @@ import (
 // become no-ops, and the caller checks Flush (or Err) once at trial end.
 type StreamRecorder struct {
 	cw  *csv.Writer
-	row [8]string
 	err error
 }
 
@@ -35,30 +33,14 @@ func (sr *StreamRecorder) record(ev netem.LinkEvent) {
 	if sr.err != nil {
 		return
 	}
-	sr.row[0] = strconv.FormatFloat(ev.Time.Seconds(), 'f', 9, 64)
-	sr.row[1] = strconv.Itoa(ev.Packet.Flow)
-	sr.row[2] = strconv.FormatInt(ev.Packet.Seq, 10)
-	sr.row[3] = strconv.Itoa(ev.Packet.Size)
-	sr.row[4] = strconv.FormatBool(ev.Packet.IsAck)
-	sr.row[5] = ev.Kind.String()
-	sr.row[6] = strconv.Itoa(ev.QueueB)
-	sr.row[7] = strconv.FormatFloat(ev.Sojourn.Millis(), 'f', 6, 64)
-	sr.err = sr.cw.Write(sr.row[:])
+	row := recordOf(ev).row()
+	sr.err = sr.cw.Write(row[:])
 }
 
 // Recorder returns a tap that streams every link event. Attach it with
 // (*netem.Link).Tap.
 func (sr *StreamRecorder) Recorder() func(netem.LinkEvent) {
 	return sr.record
-}
-
-// DeliverOnly returns a tap that streams only delivery events.
-func (sr *StreamRecorder) DeliverOnly() func(netem.LinkEvent) {
-	return func(ev netem.LinkEvent) {
-		if ev.Kind == netem.Deliver {
-			sr.record(ev)
-		}
-	}
 }
 
 // Flush drains buffered rows to the underlying writer and reports the
@@ -74,54 +56,3 @@ func (sr *StreamRecorder) Flush() error {
 
 // Err reports the sticky write error.
 func (sr *StreamRecorder) Err() error { return sr.err }
-
-// Ring retains only the most recent n link events in fixed memory — the
-// bounded in-RAM alternative when only the tail of a long run matters
-// (e.g. inspecting the state right before a failure).
-type Ring struct {
-	buf   []Record
-	start int    // index of the oldest record when full
-	total uint64 // events observed over the ring's lifetime
-}
-
-// NewRing returns a ring holding the last n records (n must be > 0).
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		panic("trace: NewRing capacity must be positive")
-	}
-	return &Ring{buf: make([]Record, 0, n)}
-}
-
-// Recorder returns a tap that records every link event into the ring.
-func (rg *Ring) Recorder() func(netem.LinkEvent) {
-	return func(ev netem.LinkEvent) {
-		r := Record{
-			Time:    ev.Time,
-			Flow:    ev.Packet.Flow,
-			Seq:     ev.Packet.Seq,
-			Bytes:   ev.Packet.Size,
-			IsAck:   ev.Packet.IsAck,
-			Kind:    ev.Kind,
-			QueueB:  ev.QueueB,
-			Sojourn: ev.Sojourn,
-		}
-		rg.total++
-		if len(rg.buf) < cap(rg.buf) {
-			rg.buf = append(rg.buf, r)
-			return
-		}
-		rg.buf[rg.start] = r
-		rg.start = (rg.start + 1) % len(rg.buf)
-	}
-}
-
-// Total reports how many events the ring has observed (not just retained).
-func (rg *Ring) Total() uint64 { return rg.total }
-
-// Records returns the retained events, oldest first, as a fresh slice.
-func (rg *Ring) Records() []Record {
-	out := make([]Record, 0, len(rg.buf))
-	out = append(out, rg.buf[rg.start:]...)
-	out = append(out, rg.buf[:rg.start]...)
-	return out
-}

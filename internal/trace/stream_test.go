@@ -67,30 +67,6 @@ func TestStreamRecorderMatchesWriteCSV(t *testing.T) {
 	}
 }
 
-func TestStreamRecorderDeliverOnly(t *testing.T) {
-	evs := sampleEvents(50)
-	var buf bytes.Buffer
-	sr := NewStreamRecorder(&buf)
-	tap := sr.DeliverOnly()
-	want := 0
-	for _, ev := range evs {
-		if ev.Kind == netem.Deliver {
-			want++
-		}
-		tap(ev)
-	}
-	if err := sr.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	rt, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if len(rt.Records) != want {
-		t.Errorf("deliver-only streamed %d records, want %d", len(rt.Records), want)
-	}
-}
-
 func TestStreamRecorderStickyError(t *testing.T) {
 	sr := NewStreamRecorder(failWriter{})
 	tap := sr.Recorder()
@@ -110,36 +86,3 @@ type failWriter struct{}
 func (failWriter) Write(p []byte) (int, error) { return 0, errBoom }
 
 var errBoom = bytes.ErrTooLarge
-
-// TestRingBounded: the ring keeps exactly the newest n records in order
-// and counts everything it saw.
-func TestRingBounded(t *testing.T) {
-	evs := sampleEvents(100)
-	rg := NewRing(16)
-	tap := rg.Recorder()
-	for _, ev := range evs {
-		tap(ev)
-	}
-	if rg.Total() != 100 {
-		t.Errorf("Total = %d, want 100", rg.Total())
-	}
-	recs := rg.Records()
-	if len(recs) != 16 {
-		t.Fatalf("retained %d records, want 16", len(recs))
-	}
-	for i, r := range recs {
-		if want := int64(100 - 16 + i); r.Seq != want {
-			t.Errorf("ring[%d].Seq = %d, want %d (oldest-first tail)", i, r.Seq, want)
-		}
-	}
-
-	// A ring larger than the stream retains everything.
-	rg2 := NewRing(256)
-	tap2 := rg2.Recorder()
-	for _, ev := range evs {
-		tap2(ev)
-	}
-	if got := len(rg2.Records()); got != 100 {
-		t.Errorf("under-full ring retained %d, want 100", got)
-	}
-}

@@ -31,79 +31,45 @@ type Trace struct {
 	Records []Record
 }
 
+// recordOf captures one link event.
+func recordOf(ev netem.LinkEvent) Record {
+	return Record{
+		Time:    ev.Time,
+		Flow:    ev.Packet.Flow,
+		Seq:     ev.Packet.Seq,
+		Bytes:   ev.Packet.Size,
+		IsAck:   ev.Packet.IsAck,
+		Kind:    ev.Kind,
+		QueueB:  ev.QueueB,
+		Sojourn: ev.Sojourn,
+	}
+}
+
 // Recorder returns a tap function that appends every link event to the
 // trace. Attach it with (*netem.Link).Tap.
 func (tr *Trace) Recorder() func(netem.LinkEvent) {
 	return func(ev netem.LinkEvent) {
-		tr.Records = append(tr.Records, Record{
-			Time:    ev.Time,
-			Flow:    ev.Packet.Flow,
-			Seq:     ev.Packet.Seq,
-			Bytes:   ev.Packet.Size,
-			IsAck:   ev.Packet.IsAck,
-			Kind:    ev.Kind,
-			QueueB:  ev.QueueB,
-			Sojourn: ev.Sojourn,
-		})
+		tr.Records = append(tr.Records, recordOf(ev))
 	}
-}
-
-// DeliverOnly returns a tap that records only delivery events (the common
-// case for throughput analysis; drops enqueue noise).
-func (tr *Trace) DeliverOnly() func(netem.LinkEvent) {
-	return func(ev netem.LinkEvent) {
-		if ev.Kind != netem.Deliver {
-			return
-		}
-		tr.Records = append(tr.Records, Record{
-			Time:    ev.Time,
-			Flow:    ev.Packet.Flow,
-			Seq:     ev.Packet.Seq,
-			Bytes:   ev.Packet.Size,
-			IsAck:   ev.Packet.IsAck,
-			Kind:    ev.Kind,
-			QueueB:  ev.QueueB,
-			Sojourn: ev.Sojourn,
-		})
-	}
-}
-
-// Filter returns the records matching pred.
-func (tr *Trace) Filter(pred func(Record) bool) []Record {
-	var out []Record
-	for _, r := range tr.Records {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FlowBytes sums delivered data bytes for a flow over [start, end).
-func (tr *Trace) FlowBytes(flow int, start, end sim.Time) int64 {
-	var total int64
-	for _, r := range tr.Records {
-		if r.Kind == netem.Deliver && !r.IsAck && r.Flow == flow &&
-			r.Time >= start && r.Time < end {
-			total += int64(r.Bytes)
-		}
-	}
-	return total
-}
-
-// Drops counts drop events for a flow (all flows when flow < 0).
-func (tr *Trace) Drops(flow int) int {
-	n := 0
-	for _, r := range tr.Records {
-		if r.Kind == netem.Drop && (flow < 0 || r.Flow == flow) {
-			n++
-		}
-	}
-	return n
 }
 
 // csvHeader is the exported column set.
 var csvHeader = []string{"time_s", "flow", "seq", "bytes", "is_ack", "kind", "queue_bytes", "sojourn_ms"}
+
+// row formats the record as its CSV columns, in csvHeader order. This is
+// the one place the column format is written down.
+func (r Record) row() [8]string {
+	return [8]string{
+		strconv.FormatFloat(r.Time.Seconds(), 'f', 9, 64),
+		strconv.Itoa(r.Flow),
+		strconv.FormatInt(r.Seq, 10),
+		strconv.Itoa(r.Bytes),
+		strconv.FormatBool(r.IsAck),
+		r.Kind.String(),
+		strconv.Itoa(r.QueueB),
+		strconv.FormatFloat(r.Sojourn.Millis(), 'f', 6, 64),
+	}
+}
 
 // WriteCSV exports the trace.
 func (tr *Trace) WriteCSV(w io.Writer) error {
@@ -112,17 +78,8 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, r := range tr.Records {
-		rec := []string{
-			strconv.FormatFloat(r.Time.Seconds(), 'f', 9, 64),
-			strconv.Itoa(r.Flow),
-			strconv.FormatInt(r.Seq, 10),
-			strconv.Itoa(r.Bytes),
-			strconv.FormatBool(r.IsAck),
-			r.Kind.String(),
-			strconv.Itoa(r.QueueB),
-			strconv.FormatFloat(r.Sojourn.Millis(), 'f', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
+		row := r.row()
+		if err := cw.Write(row[:]); err != nil {
 			return err
 		}
 	}

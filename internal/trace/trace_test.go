@@ -38,45 +38,6 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	}
 }
 
-func TestDeliverOnlyFiltersKinds(t *testing.T) {
-	eng := sim.New()
-	tr := &Trace{}
-	link := netem.NewLink(eng, netem.LinkConfig{RateBps: 8e6, QueueBytes: 1000},
-		netem.HandlerFunc(func(*netem.Packet) {}))
-	link.Tap(tr.DeliverOnly())
-	link.HandlePacket(&netem.Packet{Flow: 1, Size: 1000})
-	link.HandlePacket(&netem.Packet{Flow: 1, Size: 1000}) // dropped
-	eng.Run()
-	if len(tr.Records) != 1 || tr.Records[0].Kind != netem.Deliver {
-		t.Fatalf("records = %+v", tr.Records)
-	}
-}
-
-func TestFlowBytes(t *testing.T) {
-	tr := sampleTrace()
-	if got := tr.FlowBytes(1, 0, 10*sim.Second); got != 1200 {
-		t.Fatalf("FlowBytes = %d, want 1200 (acks excluded)", got)
-	}
-	if got := tr.FlowBytes(1, 2*sim.Second, 10*sim.Second); got != 0 {
-		t.Fatalf("windowed FlowBytes = %d, want 0", got)
-	}
-}
-
-func TestDrops(t *testing.T) {
-	tr := sampleTrace()
-	if tr.Drops(-1) != 1 || tr.Drops(2) != 1 || tr.Drops(1) != 0 {
-		t.Fatal("drop counting wrong")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tr := sampleTrace()
-	acks := tr.Filter(func(r Record) bool { return r.IsAck })
-	if len(acks) != 1 || acks[0].Bytes != 40 {
-		t.Fatalf("filter = %+v", acks)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
