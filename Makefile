@@ -1,7 +1,7 @@
 GO ?= go
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak live-smoke
+.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak
 
 ## check: the PR gate — formatting, vet, the fault-hook lookup lint, the
 ## benchmark harness's own build and tests, and the race-enabled suite.
@@ -52,35 +52,6 @@ test-race:
 
 test-full:
 	$(GO) test -count=1 ./...
-
-## live-smoke: the real-UDP trial backend end to end under the race
-## detector — first a seeded loopback chaos campaign where one stack's
-## relay wedges (reaped by the heartbeat watchdog, classified timeout),
-## one's data path drops everything (classified error: zero throughput),
-## and one is denied sockets (degrades to the simulator, counted in the
-## live.fallbacks telemetry counter) while a healthy stack completes over
-## real sockets; then the sim-vs-live divergence report on the healthy
-## cell. The smoke's budget gate is "both backends measured every cell"
-## (-budget 100): at this 2-second scale the conformance Δ itself is
-## dominated by loopback scheduling noise, so gating its magnitude here
-## would flake — EXPERIMENTS.md records a representative Δ-table at a
-## fuller scale.
-live-smoke:
-	$(GO) build -race -o /tmp/quicbench-live-smoke ./cmd/quicbench
-	@rm -f /tmp/quicbench-live-smoke.jsonl /tmp/quicbench-live-smoke.status.jsonl
-	QUICBENCH_TEST_LIVE_WEDGE=lsquic QUICBENCH_TEST_LIVE_DROP=xquic QUICBENCH_TEST_LIVE_EPERM=mvfst \
-	/tmp/quicbench-live-smoke sweep -live -stacks quicgo,lsquic,xquic,mvfst -ccas cubic \
-		-duration 4s -trials 1 -seed 7 -retries 1 -live-stall 2s \
-		-checkpoint /tmp/quicbench-live-smoke.jsonl -status /tmp/quicbench-live-smoke.status.jsonl; \
-	status=$$?; if [ $$status -ne 1 ]; then \
-		echo "live-smoke: chaos sweep exited $$status, want 1 (classified failures)"; exit 1; fi
-	@grep -q '"outcome":"ok"' /tmp/quicbench-live-smoke.jsonl || { echo "live-smoke: no healthy cell completed"; exit 1; }
-	@grep -q 'timeout.*no datagram within' /tmp/quicbench-live-smoke.jsonl || { echo "live-smoke: wedge not classified as a relay-stall timeout"; exit 1; }
-	@grep -q 'zero throughput' /tmp/quicbench-live-smoke.jsonl || { echo "live-smoke: drop storm not classified as zero throughput"; exit 1; }
-	@grep -q '"live.fallbacks":[1-9]' /tmp/quicbench-live-smoke.status.jsonl || { echo "live-smoke: socket denial did not count a simulator fallback"; exit 1; }
-	/tmp/quicbench-live-smoke live -stacks quicgo -ccas cubic -duration 2s -trials 2 -seed 7 -budget 100
-	@rm -f /tmp/quicbench-live-smoke /tmp/quicbench-live-smoke.jsonl /tmp/quicbench-live-smoke.status.jsonl
-	@echo "live-smoke: ok"
 
 ## chaos: quick demo of the fault-injection degradation sweep.
 chaos:

@@ -13,8 +13,6 @@
 //	quicbench sweep -trace traces/ -progress -status status.jsonl
 //	quicbench sweep -listen 127.0.0.1:9777 -min-workers 3 -checkpoint run.jsonl
 //	quicbench worker -connect 127.0.0.1:9777     # one fleet member (run several)
-//	quicbench sweep -live -duration 2s -trials 1 # cells over real UDP loopback
-//	quicbench live -stacks quicgo -ccas cubic    # sim-vs-live divergence table
 //	quicbench trace -check traces/               # validate qlog JSONL files
 //	quicbench trace -cwnd 1 traces/<cell>/test0.qlog.jsonl  # cwnd-over-time CSV
 //
@@ -49,16 +47,6 @@
 // even across a coordinator kill plus -resume — is byte-identical to a
 // single-process run's.
 //
-// With -live the sweep leaves the simulator: each cell's trials run over
-// real UDP sockets on the loopback interface through a userspace
-// bottleneck relay (rate, droptail queue, delay, seeded loss), in
-// wall-clock time, under a per-trial watchdog that classifies stalls and
-// overruns exactly like the isolate reaper. An environment that refuses
-// sockets degrades the cell to the simulator. The live subcommand runs
-// the same cells through BOTH backends under identical seeds and renders
-// the per-cell Δ-table (conformance, throughput, loss) with a divergence
-// budget verdict.
-//
 // Observability: -trace writes one qlog-style JSONL trace per trial
 // (cwnd/ssthresh/pacing updates, CC state transitions, loss and PTO
 // events; seed-stable and byte-identical between in-process and isolated
@@ -89,7 +77,6 @@ var subcommands = map[string]func([]string) int{
 	"sweep":    sweepMain,
 	"worker":   workerMain,
 	"manyflow": manyflowMain,
-	"live":     liveMain,
 	"trace":    traceMain,
 }
 

@@ -31,7 +31,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // A leading word routes to its subcommand, a leading flag to the experiment
 // catalog, and a word that names no subcommand is an error. Regression: an
 // unmatched word (a typo, or the retired `bench`/`perf`) fell through to the
-// experiment flag set, printed the experiment list and exited 0.
+// experiment flag set, printed the experiment list and exited 0. The retired
+// live backend's subcommand and sweep flag are unknown words too.
 func TestDispatch(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -42,6 +43,8 @@ func TestDispatch(t *testing.T) {
 		{[]string{"sweeep"}, 2, `quicbench: unknown subcommand "sweeep"`},
 		{[]string{"bench"}, 2, `quicbench: unknown subcommand "bench"`},
 		{[]string{"perf", "-trajectory", "x"}, 2, `quicbench: unknown subcommand "perf"`},
+		{[]string{"live", "-stacks", "quicgo"}, 2, `quicbench: unknown subcommand "live"`},
+		{[]string{"sweep", "-live"}, 2, "flag provided but not defined: -live"},
 		{[]string{"-exp", "nosuch"}, 2, `unknown experiment "nosuch"`},
 	} {
 		code, stderr := runCLI(t, c.args...)

@@ -22,7 +22,7 @@ import (
 // 130 for SIGINT, 143 for SIGTERM (a container runtime's stop signal).
 // Either way the journal stays valid; re-run with -resume to continue.
 func sweepMain(args []string) int {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
 		stackList   = fs.String("stacks", "", "comma-separated stacks (empty = all 11 QUIC stacks)")
 		ccaList     = fs.String("ccas", "", "comma-separated CCAs (empty = cubic,bbr,reno)")
@@ -38,9 +38,6 @@ func sweepMain(args []string) int {
 		checkpoint  = fs.String("checkpoint", "", "JSONL journal path (empty = no checkpointing)")
 		resume      = fs.Bool("resume", false, "replay the checkpoint journal and run only missing/failed cells")
 		isolated    = fs.Bool("isolate", false, "run each cell attempt in a crash-isolated child process")
-		liveBackend = fs.Bool("live", false, "run cells over real UDP loopback sockets (wall-clock trials; excludes -isolate/-listen)")
-		liveStall   = fs.Duration("live-stall", 0, "with -live, kill a trial whose relay moves no datagram for this long (0 = 2s)")
-		liveWall    = fs.Duration("live-wall", 0, "with -live, teardown grace past the nominal trial duration before the watchdog kills it (0 = 10s)")
 		memLimit    = fs.Int("mem-limit", 0, "soft heap ceiling per isolated child (MiB, 0 = none)")
 		stallTO     = fs.Duration("stall-timeout", 10*time.Second, "SIGKILL an isolated child silent for this long")
 		wallTO      = fs.Duration("wall-timeout", 0, "wall-clock deadline per isolated child attempt (0 = none)")
@@ -64,7 +61,15 @@ func sweepMain(args []string) int {
 		auditFrac   = fs.Float64("audit", 0, "with -listen, re-execute this fraction of remote results (0..1) to detect divergent workers")
 		manyflow    = fs.String("manyflow", "", "run many-flow traffic cells instead of the two-flow grid: a traffic-spec JSON file, or 'default' for the built-in mix")
 	)
-	fs.Parse(args)
+	// Parse errors return the exit codes flag.ExitOnError would use (0 for
+	// -h, 2 for a bad or undefined flag) instead of exiting, so dispatch
+	// can be tested in-process.
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "sweep: -resume requires -checkpoint")
@@ -84,14 +89,6 @@ func sweepMain(args []string) int {
 	}
 	if *tracePkts && *traceDir == "" {
 		fmt.Fprintln(os.Stderr, "sweep: -trace-packets requires -trace")
-		return 2
-	}
-	if *liveBackend && (*isolated || *listenAddr != "") {
-		fmt.Fprintln(os.Stderr, "sweep: -live is mutually exclusive with -isolate and -listen")
-		return 2
-	}
-	if !*liveBackend && (*liveStall != 0 || *liveWall != 0) {
-		fmt.Fprintln(os.Stderr, "sweep: -live-stall and -live-wall require -live")
 		return 2
 	}
 	if *obsWait != 0 && *obsAddr == "" {
@@ -128,9 +125,6 @@ func sweepMain(args []string) int {
 		IsolateMemLimitMB:   *memLimit,
 		IsolateStallTimeout: *stallTO,
 		IsolateWallTimeout:  *wallTO,
-		Live:                *liveBackend,
-		LiveStallTimeout:    *liveStall,
-		LiveWallTimeout:     *liveWall,
 		TraceDir:            *traceDir,
 		TracePackets:        *tracePkts,
 		StatusPath:          *statusPath,
@@ -203,11 +197,6 @@ func sweepMain(args []string) int {
 	if *isolated {
 		opts.OnFallback = func(cell string, err error) {
 			logger.Infof("isolation fallback (in-process) for %s: %v", cell, err)
-		}
-	}
-	if *liveBackend {
-		opts.OnFallback = func(cell string, err error) {
-			logger.Infof("live fallback (simulator) for %s: %v", cell, err)
 		}
 	}
 	// Always registered; the logger's level threshold decides whether the

@@ -21,7 +21,7 @@ func smokeArgs(journal string, extra ...string) []string {
 		"-trials", "1", "-q", "-checkpoint", journal}, extra...)
 }
 
-// A plain `sweep -checkpoint j -resume` — no -listen, -obs-addr or -live —
+// A plain `sweep -checkpoint j -resume` — no -listen or -obs-addr —
 // on a journal with a flipped bit must say on stderr that it truncated the
 // journal to its verified prefix, and still converge on the uninterrupted
 // run's bytes. Regression: the warning sink was only wired under those

@@ -1,7 +1,9 @@
-// Command timeseries runs one two-flow experiment and exports per-window
-// throughput/delay series plus the sender's cwnd trajectory as CSV — the
-// §6 "systematic root cause analysis" workflow: time-series graphs of the
+// Command timeseries runs one two-flow experiment and exports both flows'
+// per-window throughput and delay series as CSV, one row per window with
+// the columns time_s, a_mbps, a_delay_ms, b_mbps, b_delay_ms — the §6
+// "systematic root cause analysis" workflow: time-series graphs of the
 // kind the paper uses to debug low-conformance implementations (Fig. 15).
+// A failed write (full disk, closed pipe) exits 1.
 //
 // Usage:
 //
@@ -77,7 +79,6 @@ func main() {
 	sb := metrics.Series(res.Traces[1], opts)
 
 	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
 	w.Write([]string{"time_s", "a_mbps", "a_delay_ms", "b_mbps", "b_delay_ms"})
 	for i := 0; i < len(sa) && i < len(sb); i++ {
 		w.Write([]string{
@@ -87,6 +88,11 @@ func main() {
 			strconv.FormatFloat(sb[i].Mbps, 'f', 3, 64),
 			strconv.FormatFloat(sb[i].DelayMs, 'f', 3, 64),
 		})
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		fmt.Fprintln(os.Stderr, "timeseries:", err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "%s vs %s on %s: means %.1f / %.1f Mbps, drops %d, losses %v (spurious %v)\n",
 		*aFlag, *bFlag, n.String(), res.MeanMbps[0], res.MeanMbps[1], res.Drops, res.Losses, res.Spurious)

@@ -83,8 +83,9 @@ func (n Network) withDefaults() Network {
 }
 
 // WithDefaults returns the configuration with the paper's defaults
-// filled in — the exported form for alternate backends (internal/live)
-// that must shape their networks exactly like the simulator does.
+// filled in — the exported form for callers outside core (the benchmark's
+// recomposed trials) that must shape their networks exactly like the
+// simulator does.
 func (n Network) WithDefaults() Network { return n.withDefaults() }
 
 // String summarizes the configuration ("20Mbps/10ms/1.0BDP").

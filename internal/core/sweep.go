@@ -146,13 +146,13 @@ func ExecuteCellSpec(ctx context.Context, payload []byte) (json.RawMessage, erro
 	return json.Marshal(rep)
 }
 
-// SweepTrials lowers cells to supervised runner trials. Each trial runs the
+// sweepTrials lowers cells to supervised runner trials. Each trial runs the
 // full conformance pipeline for its cell under Bounds{Ctx, deadline}: the
 // sweep's cancellation context reaches every in-flight discrete-event run,
 // and a positive deadline caps each underlying trial's virtual clock. The
 // trial's Spec carries the same cell serializably, so an isolating executor
 // can ship it to a child process instead.
-func SweepTrials(cells []SweepCell, deadline sim.Time, topts *TraceOptions) []runner.Trial {
+func sweepTrials(cells []SweepCell, deadline sim.Time, topts *TraceOptions) []runner.Trial {
 	out := make([]runner.Trial, len(cells))
 	for i, c := range cells {
 		c := c
@@ -196,7 +196,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig, cells []SweepCell) (*runner.
 	if cfg.Trace.enabled() {
 		topts = &cfg.Trace
 	}
-	trials := SweepTrials(cells, cfg.TrialDeadline, topts)
+	trials := sweepTrials(cells, cfg.TrialDeadline, topts)
 	if cfg.Checkpoint == "" {
 		return runner.Run(ctx, cfg.Config, trials)
 	}

@@ -208,7 +208,7 @@ func TestSweepTimeoutCellIsTypedFailure(t *testing.T) {
 // cell and seed — the foundation of the isolate/in-process equivalence.
 func TestExecuteCellSpecBitIdentical(t *testing.T) {
 	cell := SweepCell{Stack: "quicgo", CCA: stacks.CUBIC, Net: sweepNet(5)}
-	trials := SweepTrials([]SweepCell{cell}, 0, nil)
+	trials := sweepTrials([]SweepCell{cell}, 0, nil)
 
 	inproc, err := trials[0].Run(context.Background())
 	if err != nil {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -93,20 +94,96 @@ func TestGilbertElliottDeterministicTrace(t *testing.T) {
 	}
 }
 
+// TestGilbertElliottMeanLoss checks the channel against the closed forms of
+// its two-state Markov chain, written out here rather than read from
+// MeanLoss. The grid is in tc-netem's `loss gemodel p r 1-h 1-k` terms (as
+// pumba's `netem loss-gemodel --pg --pb --one-h --one-k` spells them):
+// p = PGoodBad, r = PBadGood, 1-h = LossBad, 1-k = LossGood.
+//
+//   - Stationary loss rate: π_B·(1-h) + (1-π_B)·(1-k), with π_B = p/(p+r).
+//   - Mean Bad-state sojourn: 1/r (sojourns are Geometric(r) on 1, 2, …).
+//
+// Each tolerance is k = 4 standard errors of the estimate at this test's
+// sample size (two-sided ≈ 6e-5 under normality), computed per grid point:
+//
+//   - Loss rate over n packets. The loss indicator is the state's loss
+//     probability plus independent Bernoulli noise. The noise contributes
+//     E[l(1-l)]/n. The state part has variance ((1-h)-(1-k))²·π_B(1-π_B)
+//     and lag-j autocorrelation λ^j with λ = 1-p-r, so its variance of the
+//     mean is inflated by Σ_j λ^|j| = (1+λ)/(1-λ).
+//   - Mean sojourn over N completed Bad sojourns: i.i.d. Geometric(r),
+//     variance (1-r)/r², so SE = sqrt((1-r)/r²/N).
+//
+// The chain starts in Good, so burnIn packets (≥ 50 mixing times 1/(p+r))
+// are discarded before counting; the residual start bias is then below
+// |λ|^burnIn ≈ e^-50, negligible against the tolerance.
 func TestGilbertElliottMeanLoss(t *testing.T) {
-	rng := stats.NewRNG(7)
-	ge, _ := NewGilbertElliott(0.01, 0.2, 0, 0.5)
-	const n = 200000
-	lost := 0
-	for i := 0; i < n; i++ {
-		if ge.Drop(rng) {
-			lost++
-		}
+	const (
+		n = 1_000_000 // counted packets per grid point
+		k = 4.0       // standard errors per tolerance
+	)
+	grid := []struct{ p, r, oneMinusH, oneMinusK float64 }{
+		{0.01, 0.2, 1, 0},         // simple Gilbert: Bad always loses, Good never
+		{0.01, 0.2, 0.5, 0},       // Gilbert with h > 0
+		{0.05, 0.3, 0.6, 0.01},    // full Gilbert–Elliott
+		{0.002, 0.05, 0.9, 0.001}, // long, rare bursts (λ ≈ 0.95)
+		{0.1, 0.1, 0.3, 0.02},     // balanced states
+		{0.7, 0.6, 0.8, 0.1},      // anti-correlated states (λ < 0)
 	}
-	got := float64(lost) / n
-	want := ge.MeanLoss()
-	if math.Abs(got-want) > 0.005 {
-		t.Errorf("empirical loss %.4f, stationary %.4f", got, want)
+	for i, g := range grid {
+		name := fmt.Sprintf("p=%g,r=%g,1-h=%g,1-k=%g", g.p, g.r, g.oneMinusH, g.oneMinusK)
+		t.Run(name, func(t *testing.T) {
+			ge, err := NewGilbertElliott(g.p, g.r, g.oneMinusK, g.oneMinusH)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := stats.NewRNG(uint64(7 + i))
+			burnIn := int(math.Ceil(50 / (g.p + g.r)))
+			for j := 0; j < burnIn; j++ {
+				ge.Drop(rng)
+			}
+
+			// Sojourns count only when they both start and end inside
+			// the counted window.
+			lost, sojourns, sojournPkts, run := 0, 0, 0, -1
+			for j := 0; j < n; j++ {
+				wasBad := ge.Bad()
+				if ge.Drop(rng) {
+					lost++
+				}
+				switch {
+				case !wasBad && ge.Bad():
+					run = 0
+				case wasBad && !ge.Bad() && run >= 0:
+					sojourns++
+					sojournPkts += run + 1
+					run = -1
+				case wasBad && run >= 0:
+					run++
+				}
+			}
+
+			piB := g.p / (g.p + g.r)
+			wantLoss := piB*g.oneMinusH + (1-piB)*g.oneMinusK
+			lambda := 1 - g.p - g.r
+			noise := piB*g.oneMinusH*(1-g.oneMinusH) + (1-piB)*g.oneMinusK*(1-g.oneMinusK)
+			d := g.oneMinusH - g.oneMinusK
+			state := d * d * piB * (1 - piB) * (1 + lambda) / (1 - lambda)
+			lossSE := math.Sqrt((noise + state) / n)
+			if got := float64(lost) / n; math.Abs(got-wantLoss) > k*lossSE {
+				t.Errorf("loss rate %.5f, closed form %.5f (tolerance %.5f = %g SE)", got, wantLoss, k*lossSE, k)
+			}
+
+			if sojourns == 0 {
+				t.Fatal("no completed Bad sojourn")
+			}
+			wantSojourn := 1 / g.r
+			sojournSE := math.Sqrt((1 - g.r) / (g.r * g.r) / float64(sojourns))
+			if got := float64(sojournPkts) / float64(sojourns); math.Abs(got-wantSojourn) > k*sojournSE {
+				t.Errorf("mean Bad sojourn %.3f packets over %d sojourns, closed form %.3f (tolerance %.3f = %g SE)",
+					got, sojourns, wantSojourn, k*sojournSE, k)
+			}
+		})
 	}
 }
 

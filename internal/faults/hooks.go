@@ -6,8 +6,8 @@ import (
 )
 
 // Fault hooks: environment variables that arm injected failures inside
-// production code paths, so the smoke targets (`make soak`, `fabric-chaos`,
-// `live-smoke`) can drive every failure class through the real binaries.
+// production code paths, so the smoke targets (`make soak`, `fabric-chaos`)
+// can drive every failure class through the real binaries.
 // Production runs never set them. Every name is declared here and every
 // read goes through Hook — the only os.Getenv on a QUICBENCH_TEST_* name in
 // the module (`make check` enforces it).
@@ -64,18 +64,6 @@ const (
 	// EnvDistTorn ("30"): on the Nth write only half the bytes are sent and
 	// the connection is severed — a torn frame the reader must reject.
 	EnvDistTorn = "QUICBENCH_TEST_DIST_TORN"
-
-	// Live-backend hooks, matched against the stack under test.
-	//
-	// EnvLiveWedge: the matching cell's relay stops reading its socket and
-	// the trial is reaped as a relay stall (classified timeout).
-	EnvLiveWedge = "QUICBENCH_TEST_LIVE_WEDGE"
-	// EnvLiveDrop: the matching cell's relay discards every data datagram
-	// (ACK path untouched), so the trial reports zero throughput.
-	EnvLiveDrop = "QUICBENCH_TEST_LIVE_DROP"
-	// EnvLiveEPERM: the matching cell's socket opens fail with a synthetic
-	// EPERM, driving the simulator-fallback path.
-	EnvLiveEPERM = "QUICBENCH_TEST_LIVE_EPERM"
 )
 
 // Hook returns the value arming the named fault hook ("" when unarmed).

@@ -3,8 +3,9 @@ package transport
 import "repro/internal/sim"
 
 // Clock abstracts the timeline the endpoints run on: the deterministic
-// discrete-event engine for experiments, or a real-time loop for driving
-// actual UDP sockets (see internal/rtclock and examples/udplive).
+// discrete-event engine (SimClock), or a wrapper around it such as the
+// benchmark's timed clock, which attributes timer callbacks to the
+// transport layer.
 type Clock interface {
 	// Now returns the current time on this clock's timeline.
 	Now() sim.Time

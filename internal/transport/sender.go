@@ -129,7 +129,7 @@ func NewSender(eng *sim.Engine, cfg Config, ctrl cc.Controller, out netem.Handle
 }
 
 // NewSenderWithClock constructs a sender on an arbitrary clock (e.g. the
-// real-time loop used to drive real UDP sockets).
+// benchmark's timed clock, which wraps the engine to attribute timer work).
 func NewSenderWithClock(clk Clock, cfg Config, ctrl cc.Controller, out netem.Handler, flow int) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{

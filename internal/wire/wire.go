@@ -1,6 +1,5 @@
-// Package wire serializes transport packets onto real UDP datagrams for
-// the live-network mode (examples/udplive): the same netem.Packet the
-// simulator passes by pointer is encoded to bytes on the wire, so the
+// Package wire serializes transport packets to datagram bytes: the same
+// netem.Packet the simulator passes by pointer is encoded to bytes, so the
 // transport endpoints are oblivious to which network they run on.
 //
 // Layout (big endian):

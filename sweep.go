@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/isolate"
-	"repro/internal/live"
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -76,26 +75,6 @@ type SweepOptions struct {
 	// IsolateWallTimeout, when positive, is a wall-clock deadline per
 	// child attempt, enforced by SIGKILL and classified as a timeout.
 	IsolateWallTimeout time.Duration
-	// Live runs every cell attempt on the real-UDP loopback backend
-	// (internal/live) instead of the discrete-event simulator: the same
-	// conformance methodology over real sockets through a userspace
-	// bottleneck relay, with a per-trial watchdog reaper and typed
-	// failure classification. Cells whose sockets cannot open (EPERM in
-	// a sandbox, port exhaustion) degrade gracefully to the simulator
-	// (OnFallback observes each degradation; the `live.fallbacks`
-	// counter tallies them). Live trials run in wall-clock time — set
-	// Network.Duration accordingly. Mutually exclusive with Isolate and
-	// Listen.
-	Live bool
-	// LiveStallTimeout is how long a live trial's relay may go without
-	// moving a datagram before the watchdog kills the trial as a timeout
-	// (0 selects 2 s). Must be shorter than the trial duration to beat a
-	// trial that merely crawls.
-	LiveStallTimeout time.Duration
-	// LiveWallTimeout is the teardown allowance past the nominal trial
-	// duration before the watchdog kills an overrunning live trial
-	// (0 selects 10 s).
-	LiveWallTimeout time.Duration
 	// Listen, when non-empty, runs the sweep on the distributed fabric:
 	// the coordinator binds this TCP address (e.g. "127.0.0.1:0") and
 	// shards cell attempts across connected `quicbench worker` processes.
@@ -134,7 +113,8 @@ type SweepOptions struct {
 	// torn journal tail truncated on resume). Must be concurrency-safe.
 	Logf func(format string, args ...any)
 	// OnFallback, when non-nil, observes each cell that degraded from
-	// isolated to in-process execution (must be concurrency-safe).
+	// isolated to in-process execution (Isolate only; must be
+	// concurrency-safe).
 	OnFallback func(cell string, err error)
 	// OnRetry, when non-nil, observes each failed cell attempt about to be
 	// retried, with the backoff about to be slept (must be
@@ -336,10 +316,6 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 		reg.RegisterFunc("netem.pool_news", func() int64 { _, _, n := netem.PoolStats(); return n })
 	}
 
-	if opts.Live && (opts.Isolate || opts.Listen != "") {
-		return nil, fmt.Errorf("quicbench: -live is mutually exclusive with -isolate and -listen (live trials hold real sockets in this process)")
-	}
-
 	// Hot-seam histograms: per-executor trial wall latency (also feeds the
 	// progress renderer's p99 column) and the supervisor's computed retry
 	// backoff delays.
@@ -349,43 +325,12 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 		switch {
 		case opts.Listen != "":
 			execName = "dist"
-		case opts.Live:
-			execName = "live"
 		case opts.Isolate:
 			execName = "isolate"
 		}
 		latHist = reg.Histogram("sweep.trial_latency_us." + execName)
 		backoffHist = reg.Histogram("runner.backoff_us")
 	}
-	var cLiveFallbacks, cLiveWarnings *telemetry.Counter
-	if reg != nil && opts.Live {
-		cLiveFallbacks = reg.Counter("live.fallbacks")
-		cLiveWarnings = reg.Counter("live.warnings")
-	}
-	if opts.Live {
-		cfg.Executor = &live.Executor{
-			Stall:     opts.LiveStallTimeout,
-			WallGrace: opts.LiveWallTimeout,
-			Metrics:   reg,
-			OnFallback: func(cell string, ferr error) {
-				if cLiveFallbacks != nil {
-					cLiveFallbacks.Inc()
-				}
-				if opts.OnFallback != nil {
-					opts.OnFallback(cell, ferr)
-				}
-			},
-			OnWarn: func(cell string, w live.Warning) {
-				if cLiveWarnings != nil {
-					cLiveWarnings.Inc()
-				}
-				if opts.Logf != nil {
-					opts.Logf("%s: %s", cell, w)
-				}
-			},
-		}
-	}
-
 	var ex *isolate.Executor
 	if opts.Isolate {
 		ex = &isolate.Executor{
