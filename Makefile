@@ -1,7 +1,7 @@
 GO ?= go
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke fabric-chaos soak
+.PHONY: check fmt vet hooks-lint bench-harness loc test test-race test-full build chaos sweep-smoke manyflow-smoke trace-smoke dist-smoke obs-smoke soak
 
 ## check: the PR gate — formatting, vet, the fault-hook lookup lint, the
 ## benchmark harness's own build and tests, and the race-enabled suite.
@@ -129,19 +129,6 @@ dist-smoke:
 obs-smoke:
 	./scripts/obs_smoke.sh
 
-## fabric-chaos: the Byzantine-tolerance soak — full auditing, the
-## shared-secret handshake, and a worker allowlist over a fleet of one
-## honest worker, one behind an injected-chaos network (latency, byte
-## corruption, asymmetric partition), and one Byzantine worker whose
-## answers diverge with perfect wire integrity. The coordinator's journal
-## disk fills mid-campaign (injected ENOSPC) and the resumed run must
-## truncate the torn tail and finish byte-identical to a single-process
-## reference, with the Byzantine worker visibly quarantined.
-## FABRIC_CHAOS_DIFF names a file to receive the journal diff on failure
-## (CI uploads it as an artifact).
-fabric-chaos:
-	FABRIC_CHAOS_DIFF="$(FABRIC_CHAOS_DIFF)" ./scripts/fabric_chaos.sh
-
 ## soak: a short seeded chaos sweep under the race detector with crash
 ## isolation on — one cell wedges (reaped by heartbeat stall, classified
 ## timeout), one panics (recovered in the child, classified panic), one
@@ -154,7 +141,7 @@ soak:
 	QUICBENCH_TEST_WEDGE=lsquic QUICBENCH_TEST_PANIC=xquic QUICBENCH_TEST_MEMHOG=mvfst \
 	/tmp/quicbench-soak sweep -isolate -stacks quicgo,lsquic,xquic,mvfst -ccas cubic \
 		-duration 2s -trials 2 -seed 7 -retries 2 -stall-timeout 2s -mem-limit 64 \
-		-pprof localhost:0 -checkpoint /tmp/quicbench-soak.jsonl; \
+		-obs-addr 127.0.0.1:0 -checkpoint /tmp/quicbench-soak.jsonl; \
 	status=$$?; if [ $$status -ne 1 ]; then \
 		echo "soak: chaos sweep exited $$status, want 1 (classified failures)"; exit 1; fi
 	@grep -q '"outcome":"ok"' /tmp/quicbench-soak.jsonl || { echo "soak: no healthy cell completed"; exit 1; }

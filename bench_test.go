@@ -13,9 +13,8 @@ import (
 	"time"
 )
 
-// benchScale keeps benchmark iterations affordable: 15 s flows, 1 trial.
-// (Cross-trial hull intersection degenerates to the single trial's hulls,
-// which is fine for exercising the full pipeline.)
+// benchScale keeps benchmark iterations affordable: 15 s flows, 2 trials —
+// the fewest that still exercise cross-trial hull intersection.
 var benchScale = Scale{Duration: 15 * time.Second, Trials: 2, Seed: 1}
 
 // runExperiment is the shared bench body.

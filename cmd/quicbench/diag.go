@@ -2,28 +2,12 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/ handlers
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
 	"syscall"
 )
-
-// startPprof serves the net/http/pprof handlers on addr (e.g.
-// "localhost:6060") for live profiling of long sweeps and soaks. The bound
-// address is echoed to stderr because addr may use port 0.
-func startPprof(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
-	go func() { _ = http.Serve(ln, nil) }()
-	return nil
-}
 
 // installSIGQUIT repurposes SIGQUIT (^\) as a diagnostics trigger: instead
 // of the Go runtime's kill-with-stacks default, each SIGQUIT writes

@@ -51,9 +51,10 @@
 // (cwnd/ssthresh/pacing updates, CC state transitions, loss and PTO
 // events; seed-stable and byte-identical between in-process and isolated
 // runs), -progress renders a live status line to stderr, -status appends
-// machine-readable JSONL snapshots, -pprof serves net/http/pprof, and
-// SIGQUIT dumps goroutine/heap profiles without stopping the sweep. The
-// trace subcommand validates (-check) and summarizes trace files.
+// machine-readable JSONL snapshots, -obs-addr serves /metrics, /statusz,
+// /healthz and /debug/pprof, and SIGQUIT dumps goroutine/heap profiles
+// without stopping the sweep. The trace subcommand validates (-check) and
+// summarizes trace files.
 package main
 
 import (

@@ -32,7 +32,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // catalog, and a word that names no subcommand is an error. Regression: an
 // unmatched word (a typo, or the retired `bench`/`perf`) fell through to the
 // experiment flag set, printed the experiment list and exited 0. The retired
-// live backend's subcommand and sweep flag are unknown words too.
+// live backend's subcommand and sweep flag are unknown words too, as are the
+// retired -audit and -pprof sweep flags.
 func TestDispatch(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -45,6 +46,8 @@ func TestDispatch(t *testing.T) {
 		{[]string{"perf", "-trajectory", "x"}, 2, `quicbench: unknown subcommand "perf"`},
 		{[]string{"live", "-stacks", "quicgo"}, 2, `quicbench: unknown subcommand "live"`},
 		{[]string{"sweep", "-live"}, 2, "flag provided but not defined: -live"},
+		{[]string{"sweep", "-audit", "0.5"}, 2, "flag provided but not defined: -audit"},
+		{[]string{"sweep", "-pprof", ":0"}, 2, "flag provided but not defined: -pprof"},
 		{[]string{"-exp", "nosuch"}, 2, `unknown experiment "nosuch"`},
 	} {
 		code, stderr := runCLI(t, c.args...)

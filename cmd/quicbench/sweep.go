@@ -48,7 +48,6 @@ func sweepMain(args []string) int {
 		progress    = fs.Bool("progress", false, "live progress line on stderr (cells done/total, ETA, workers, children)")
 		statusPath  = fs.String("status", "", "append machine-readable JSONL status snapshots to this file")
 		statusIntv  = fs.Duration("status-interval", time.Second, "progress/status snapshot period")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		obsAddr     = fs.String("obs-addr", "", "serve the observability plane (/metrics, /statusz, /healthz, /debug/pprof) on this address (e.g. 127.0.0.1:0)")
 		obsWait     = fs.Duration("obs-wait", 0, "with -obs-addr, keep the endpoints up this long after the sweep completes for a final scrape")
 		verbose     = fs.Bool("v", false, "log retries and backoff decisions to stderr")
@@ -58,7 +57,6 @@ func sweepMain(args []string) int {
 		workerTO    = fs.Duration("worker-timeout", 10*time.Second, "with -listen, reap a worker silent for this long and re-dispatch its cells")
 		workersFile = fs.String("workers-file", "", "with -listen, admit only workers named in this file (one host:port or name per line, # comments)")
 		authToken   = fs.String("auth-token", "", "with -listen, require workers to prove this shared secret in their handshake")
-		auditFrac   = fs.Float64("audit", 0, "with -listen, re-execute this fraction of remote results (0..1) to detect divergent workers")
 		manyflow    = fs.String("manyflow", "", "run many-flow traffic cells instead of the two-flow grid: a traffic-spec JSON file, or 'default' for the built-in mix")
 	)
 	// Parse errors return the exit codes flag.ExitOnError would use (0 for
@@ -79,12 +77,8 @@ func sweepMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "sweep: -min-workers requires -listen")
 		return 2
 	}
-	if *listenAddr == "" && (*workersFile != "" || *authToken != "" || *auditFrac != 0) {
-		fmt.Fprintln(os.Stderr, "sweep: -workers-file, -auth-token, and -audit require -listen")
-		return 2
-	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		fmt.Fprintln(os.Stderr, "sweep: -audit must be in [0, 1]")
+	if *listenAddr == "" && (*workersFile != "" || *authToken != "") {
+		fmt.Fprintln(os.Stderr, "sweep: -workers-file and -auth-token require -listen")
 		return 2
 	}
 	if *tracePkts && *traceDir == "" {
@@ -94,12 +88,6 @@ func sweepMain(args []string) int {
 	if *obsWait != 0 && *obsAddr == "" {
 		fmt.Fprintln(os.Stderr, "sweep: -obs-wait requires -obs-addr")
 		return 2
-	}
-	if *pprofAddr != "" {
-		if err := startPprof(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			return 2
-		}
 	}
 	// SIGQUIT (^\) dumps goroutine/heap profiles instead of killing the
 	// sweep — the standing diagnostic for wedged soaks.
@@ -163,7 +151,6 @@ func sweepMain(args []string) int {
 		opts.MinWorkers = *minWorkers
 		opts.MinWorkersTimeout = *minWait
 		opts.WorkerHeartbeatTimeout = *workerTO
-		opts.AuditFraction = *auditFrac
 		opts.AuthToken = *authToken
 		if *workersFile != "" {
 			allowed, ferr := readWorkersFile(*workersFile)

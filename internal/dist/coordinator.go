@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
 	"sync"
@@ -54,13 +53,6 @@ type Coordinator struct {
 	// the attempt is abandoned to the supervisor's retry machinery
 	// (default 3). Clean drains do not count.
 	MaxRedispatch int
-	// AuditFraction is the share of successful remote trials (0..1) that
-	// are re-executed on a second worker — or locally when the fleet has
-	// no one else — and compared by result digest. Divergence triggers a
-	// local tiebreak: the local bytes win, and whichever worker disagreed
-	// takes a divergence penalty toward quarantine. Selection is
-	// deterministic by trial key, so an audit schedule is reproducible.
-	AuditFraction float64
 	// AuthToken, when non-empty, requires every worker's hello to carry a
 	// valid HMAC over this shared secret; unauthenticated peers get a
 	// typed bye and are dropped before any dispatch.
@@ -69,10 +61,6 @@ type Coordinator struct {
 	// admitted only if its hello name, its remote host:port, or its
 	// remote host matches an entry (the -workers-file contents).
 	Allowed []string
-	// QuarantineThreshold is the fault score at which a worker is
-	// quarantined (default 4; divergences weigh 2, and 2 divergences
-	// quarantine regardless of score).
-	QuarantineThreshold int
 	// Logf, when non-nil, observes fleet events (joins, deaths, drains,
 	// re-dispatches). Must be safe for concurrent use.
 	Logf func(format string, args ...any)
@@ -91,7 +79,6 @@ type Coordinator struct {
 	ln        net.Listener
 	wg        sync.WaitGroup
 	stop      chan struct{}
-	health    *healthTracker
 
 	joins       atomic.Int64
 	deaths      atomic.Int64
@@ -101,9 +88,7 @@ type Coordinator struct {
 	redispatch  atomic.Int64
 	resultsLate atomic.Int64
 
-	audits        atomic.Int64
 	divergences   atomic.Int64
-	quarantines   atomic.Int64
 	corruptFrames atomic.Int64
 	authFailures  atomic.Int64
 }
@@ -122,7 +107,6 @@ type remoteWorker struct {
 	draining bool
 	dead     error // non-nil once a death reason is recorded
 	done     int64 // completed assignments
-	faulted  bool  // health already charged for this connection's death
 }
 
 // pendingTrial is one dispatched assignment awaiting its result.
@@ -148,9 +132,7 @@ type Stats struct {
 	LocalTrials   int64 // attempts degraded to local execution
 	Redispatches  int64 // in-flight trials moved to another worker
 	LateResults   int64 // results for trials already cancelled or re-dispatched
-	Audits        int64 // trials re-executed for comparison
-	Divergences   int64 // audit or digest disagreements observed
-	Quarantines   int64 // workers quarantined for repeated faults
+	Divergences   int64 // results whose spec or result digest failed to verify
 	CorruptFrames int64 // malformed/oversize/checksum-failing frames from workers
 	AuthFailures  int64 // peers rejected by handshake auth or allowlist
 }
@@ -159,7 +141,7 @@ type Stats struct {
 type WorkerStat struct {
 	Name         string
 	Addr         string
-	State        string // "idle", "busy", "draining", "dead", "drained", "quarantined"
+	State        string // "idle", "busy", "draining", "dead", "drained"
 	Slots        int
 	InFlight     int
 	Done         int64
@@ -193,26 +175,7 @@ func (c *Coordinator) init() {
 		c.workers = make(map[*remoteWorker]struct{})
 		c.beatCache = make(map[string]*beatMsg)
 		c.stop = make(chan struct{})
-		c.health = newHealthTracker(c.QuarantineThreshold)
 	}
-}
-
-// penalizeWorker charges one fault against a worker's health and, when
-// that tips it into quarantine, evicts it: the connection closes, its
-// in-flight trials fan out for re-dispatch, and a rejoin under the same
-// name is refused at the handshake.
-func (c *Coordinator) penalizeWorker(w *remoteWorker, kind faultKind) {
-	if !c.health.penalize(w.name, kind) {
-		return
-	}
-	c.quarantines.Add(1)
-	c.mu.Lock()
-	if w.dead == nil {
-		w.dead = fmt.Errorf("%w: repeated %v", ErrWorkerQuarantined, kind)
-	}
-	c.mu.Unlock()
-	c.logf("dist: worker %s quarantined after repeated faults (last: %v)", w.name, kind)
-	w.conn.Close() // unblocks serveConn; dropWorker re-dispatches its trials
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop and the
@@ -310,9 +273,7 @@ func (c *Coordinator) Stats() Stats {
 		LocalTrials:   c.local.Load(),
 		Redispatches:  c.redispatch.Load(),
 		LateResults:   c.resultsLate.Load(),
-		Audits:        c.audits.Load(),
 		Divergences:   c.divergences.Load(),
-		Quarantines:   c.quarantines.Load(),
 		CorruptFrames: c.corruptFrames.Load(),
 		AuthFailures:  c.authFailures.Load(),
 	}
@@ -336,8 +297,6 @@ func (c *Coordinator) FleetStats() []WorkerStat {
 			HeartbeatAge: now.Sub(time.Unix(0, w.lastBeat.Load())),
 		}
 		switch {
-		case c.health.quarantined(w.name):
-			st.State = "quarantined"
 		case w.draining:
 			st.State = "draining"
 		case len(w.inflight) > 0:
@@ -403,122 +362,36 @@ func (c *Coordinator) ExecuteTrial(ctx context.Context, tr runner.Trial, attempt
 			return c.runLocal(ctx, tr, attempt)
 		}
 		out := c.dispatch(ctx, w, p, tr, attempt, payload)
-		switch {
-		case out.res != nil:
+		if out.res != nil {
 			w.lastBeat.Store(time.Now().UnixNano())
-			if !digestsVerify(payload, out.res) {
-				// The worker answered for bytes other than the spec it was
-				// sent, or its result digest does not cover the result it
-				// shipped: cross-wired or lying. Treat like a divergence
-				// and move the trial to someone else.
-				c.divergences.Add(1)
-				c.penalizeWorker(w, faultDiverge)
-				excluded[w.name] = true
-				c.redispatch.Add(1)
-				losses++
-				c.logf("dist: %s: worker %s result fails digest check; re-dispatching (loss %d/%d)",
-					tr.Key, w.name, losses, c.maxRedispatch())
-				if losses > c.maxRedispatch() {
-					return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: runner.FailError,
-						Err: fmt.Errorf("%w (cap %d)", ErrTrialAbandoned, c.maxRedispatch())}
-				}
-				continue
+			if digestsVerify(payload, out.res) {
+				return c.classify(tr, attempt, out.res)
 			}
-			c.health.credit(w.name)
-			if out.res.Err == "" && out.res.Result != nil && c.shouldAudit(tr.Key) {
-				return c.auditResult(ctx, w, tr, attempt, payload, out.res)
-			}
-			return c.classify(tr, attempt, out.res)
-		case out.lost != nil && errors.Is(out.lost, context.Canceled),
-			out.lost != nil && errors.Is(out.lost, context.DeadlineExceeded):
+			// The worker answered for bytes other than the spec it was
+			// sent, or its result digest does not cover the result it
+			// shipped: cross-wired or corrupted. Re-dispatch it like a
+			// lost trial.
+			c.divergences.Add(1)
+			out.lost = fmt.Errorf("dist: worker %s result fails digest check", w.name)
+		} else if errors.Is(out.lost, context.Canceled) || errors.Is(out.lost, context.DeadlineExceeded) {
 			return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt,
 				Kind: runner.FailInterrupted, Err: out.lost}
-		default:
-			// Worker lost or drained mid-trial: move the attempt to a
-			// healthy worker. Only hard losses count against the cap.
-			excluded[w.name] = true
-			c.redispatch.Add(1)
-			if !out.requeue {
-				losses++
-			}
-			c.logf("dist: re-dispatching %s after %v (loss %d/%d)",
-				tr.Key, out.lost, losses, c.maxRedispatch())
-			if losses > c.maxRedispatch() {
-				return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: runner.FailError,
-					Err: fmt.Errorf("%w (cap %d)", ErrTrialAbandoned, c.maxRedispatch())}
-			}
+		}
+		// Worker lost, drained, or failed the digest check mid-trial: move
+		// the attempt to a healthy worker. Clean drains do not count
+		// against the cap.
+		excluded[w.name] = true
+		c.redispatch.Add(1)
+		if !out.requeue {
+			losses++
+		}
+		c.logf("dist: re-dispatching %s after %v (loss %d/%d)",
+			tr.Key, out.lost, losses, c.maxRedispatch())
+		if losses > c.maxRedispatch() {
+			return nil, &runner.TrialError{Key: tr.Key, Attempt: attempt, Kind: runner.FailError,
+				Err: fmt.Errorf("%w (cap %d)", ErrTrialAbandoned, c.maxRedispatch())}
 		}
 	}
-}
-
-// shouldAudit deterministically selects AuditFraction of trial keys, so
-// an audit schedule reproduces run to run.
-func (c *Coordinator) shouldAudit(key string) bool {
-	f := c.AuditFraction
-	if f <= 0 {
-		return false
-	}
-	if f >= 1 {
-		return true
-	}
-	return float64(fnvOf(key)%1000) < f*1000
-}
-
-func fnvOf(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// auditResult re-executes an audited trial on a second worker (or, when
-// the fleet has nobody else, locally) and compares result digests. On
-// divergence the local executor arbitrates: trials are deterministic
-// functions of their seed, so the local bytes are authoritative — they
-// are returned, and whichever worker disagreed with them is charged a
-// divergence. The audited trial therefore lands in the journal with the
-// honest bytes no matter which replica lied.
-func (c *Coordinator) auditResult(ctx context.Context, primary *remoteWorker, tr runner.Trial, attempt int, payload json.RawMessage, primaryRes *resultMsg) (json.RawMessage, *runner.TrialError) {
-	c.audits.Add(1)
-	primaryDigest := digestOf(primaryRes.Result)
-
-	var secondary *remoteWorker
-	var secondRaw json.RawMessage
-	w2, p2 := c.acquire(ctx, tr.Key, map[string]bool{primary.name: true})
-	if w2 != nil {
-		out := c.dispatch(ctx, w2, p2, tr, attempt, payload)
-		if out.res != nil && out.res.Err == "" && out.res.Result != nil && digestsVerify(payload, out.res) {
-			secondary = w2
-			secondRaw = out.res.Result
-		}
-	}
-	if secondary != nil && digestOf(secondRaw) == primaryDigest {
-		c.health.credit(primary.name)
-		c.health.credit(secondary.name)
-		return c.classify(tr, attempt, primaryRes)
-	}
-
-	// No second worker, or the replicas disagree: arbitrate locally.
-	localRaw, terr := c.runLocal(ctx, tr, attempt)
-	if terr != nil || localRaw == nil {
-		// The arbiter itself failed; nothing conclusive to charge anyone
-		// with. Keep the primary's verified result.
-		return c.classify(tr, attempt, primaryRes)
-	}
-	localDigest := digestOf(localRaw)
-	if secondary != nil && digestOf(secondRaw) != localDigest {
-		c.divergences.Add(1)
-		c.logf("dist: audit: %s diverged on %s (digest %s, local %s)",
-			secondary.name, tr.Key, digestOf(secondRaw), localDigest)
-		c.penalizeWorker(secondary, faultDiverge)
-	}
-	if primaryDigest != localDigest {
-		c.divergences.Add(1)
-		c.logf("dist: audit: %s diverged on %s (digest %s, local %s)",
-			primary.name, tr.Key, primaryDigest, localDigest)
-		c.penalizeWorker(primary, faultDiverge)
-		return localRaw, nil
-	}
-	return c.classify(tr, attempt, primaryRes)
 }
 
 // runLocal degrades one attempt to the local executor.
@@ -557,7 +430,7 @@ func (c *Coordinator) acquire(ctx context.Context, key string, excluded map[stri
 		var best *remoteWorker
 		eligible := 0
 		for w := range c.workers {
-			if w.dead != nil || w.draining || excluded[w.name] || c.health.quarantined(w.name) {
+			if w.dead != nil || w.draining || excluded[w.name] {
 				continue
 			}
 			eligible++
@@ -672,15 +545,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			Reason: fmt.Sprintf("worker %q is not on the coordinator's allowlist", h.Name)}})
 		return
 	}
-	c.mu.Lock()
-	c.init()
-	c.mu.Unlock()
-	if c.health.quarantined(h.Name) {
-		c.logf("dist: refusing quarantined worker %s rejoining from %s", h.Name, conn.RemoteAddr())
-		_ = out.write(wireMsg{Type: msgBye, Bye: &byeMsg{Code: byeQuarantined,
-			Reason: "worker is quarantined for this campaign"}})
-		return
-	}
 	w := &remoteWorker{
 		name:     h.Name,
 		addr:     conn.RemoteAddr().String(),
@@ -709,16 +573,11 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		m, err := readMsg(conn)
 		if err != nil {
 			if isCorruptFrame(err) {
-				// Garbage bytes on an authenticated worker connection: a
-				// worker fault, not a campaign problem. Drop just this
-				// worker (its trials re-dispatch) and charge its health —
-				// repeats quarantine it.
+				// Garbage bytes on an admitted worker connection: a worker
+				// fault, not a campaign problem. Drop just this worker; its
+				// trials re-dispatch.
 				c.corruptFrames.Add(1)
 				c.logf("dist: worker %s sent a corrupt frame (%v); dropping it", w.name, err)
-				c.mu.Lock()
-				w.faulted = true
-				c.mu.Unlock()
-				c.penalizeWorker(w, faultCorruptFrame)
 				c.mu.Lock()
 				if w.dead == nil {
 					w.dead = fmt.Errorf("%w: corrupt frame: %v", ErrWorkerLost, err)
@@ -797,9 +656,7 @@ func (c *Coordinator) workerDraining(w *remoteWorker, returned []string) {
 
 // dropWorker removes a departed worker, fanning the loss out to every
 // trial it still held. A drained worker with nothing in flight is a
-// clean departure; everything else is a death that also charges the
-// worker's health (stalls and losses with trials in flight are how a
-// black-holed or crash-looping worker eventually earns quarantine).
+// clean departure; everything else is a death.
 func (c *Coordinator) dropWorker(w *remoteWorker) {
 	now := time.Now()
 	c.mu.Lock()
@@ -818,7 +675,6 @@ func (c *Coordinator) dropWorker(w *remoteWorker) {
 		orphans = append(orphans, w.inflight[key])
 		delete(w.inflight, key)
 	}
-	faulted := w.faulted
 	c.mu.Unlock()
 
 	if clean {
@@ -826,23 +682,11 @@ func (c *Coordinator) dropWorker(w *remoteWorker) {
 	} else if !c.isClosed() {
 		c.deaths.Add(1)
 		c.logf("dist: worker %s lost: %v (%d trials re-dispatching)", w.name, reason, len(orphans))
-		// Charge the death unless this connection's fault was already
-		// charged (corrupt frame) or the death *is* the quarantine.
-		if !faulted && !errors.Is(reason, ErrWorkerQuarantined) && len(orphans) > 0 {
-			kind := faultLoss
-			if errors.Is(reason, ErrWorkerStalled) {
-				kind = faultStall
-			}
-			c.penalizeWorker(w, kind)
-		}
 	}
 
 	state := "dead"
-	switch {
-	case clean:
+	if clean {
 		state = "drained"
-	case c.health.quarantined(w.name):
-		state = "quarantined"
 	}
 	c.mu.Lock()
 	c.gone = append(c.gone, WorkerStat{

@@ -619,3 +619,182 @@ func TestBeatPiggybackAggregates(t *testing.T) {
 		t.Errorf("merged p99 = %d, want > 0", merged.Quantile(0.99))
 	}
 }
+
+// dialHello opens a raw connection to the coordinator and performs the
+// worker handshake by hand, so tests can then misbehave on the wire.
+func dialHello(t *testing.T, addr, name, token string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	h := helloMsg{Proto: protoName, Version: protoVersion, Name: name, Slots: 1}
+	if token != "" {
+		if err := authenticate(token, &h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := &msgWriter{w: conn}
+	if err := out.write(wireMsg{Type: msgHello, Hello: &h}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// A registered worker that starts spewing garbage bytes is a worker
+// fault: its connection drops, its trials re-dispatch, the campaign
+// completes — and the corrupt-frame counter shows it. Regression for the
+// read loop treating any malformed frame as a silent connection end.
+func TestCorruptFrameIsWorkerFault(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf, HeartbeatTimeout: time.Second}
+	addr := startCoordinator(t, coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// One honest worker keeps the campaign runnable.
+	good := &Worker{Addr: addr, Name: "w-good", Slots: 2, Exec: echoExec,
+		HeartbeatInterval: 50 * time.Millisecond, Logf: t.Logf}
+	startWorker(t, ctx, good, nil)
+	waitFleet(t, coord, 1)
+
+	// The garbage peer completes its handshake, then writes bytes that
+	// parse as an implausible frame length.
+	garbage := dialHello(t, addr, "w-garbage", "")
+	waitFleet(t, coord, 2)
+	if _, err := garbage.Write([]byte("THIS IS NOT A FRAME")); err != nil {
+		t.Fatal(err)
+	}
+
+	trials := echoTrials(8)
+	res, err := runner.Run(ctx, runner.Config{Workers: 2, Executor: coord}, trials)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Count(runner.OutcomeFailed) != 0 {
+		t.Errorf("campaign had %d failed cells; a garbage worker must not fail trials", res.Count(runner.OutcomeFailed))
+	}
+	st := coord.Stats()
+	if st.CorruptFrames == 0 {
+		t.Error("corrupt-frame counter never incremented")
+	}
+	// The garbage peer must be out of the fleet; the honest worker stays.
+	deadline := time.Now().Add(2 * time.Second)
+	for coord.Stats().Workers != 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := coord.Stats().Workers; got != 1 {
+		t.Errorf("fleet has %d workers, want 1 (garbage peer dropped)", got)
+	}
+}
+
+// Digest verification on the main dispatch path: a result claiming the
+// wrong spec digest is refused and the trial re-dispatches (here, to
+// local execution).
+func TestSpecDigestMismatchRedispatches(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf, HeartbeatTimeout: time.Second}
+	addr := startCoordinator(t, coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// A hand-rolled worker that answers every assignment with a result
+	// whose spec digest is garbage.
+	conn := dialHello(t, addr, "w-liar", "")
+	out := &msgWriter{w: conn}
+	go func() {
+		for {
+			m, err := readMsg(conn)
+			if err != nil {
+				return
+			}
+			if m.Type != msgAssign || m.Assign == nil {
+				continue
+			}
+			raw, _ := json.Marshal(echo(m.Assign.Key, m.Assign.Seed))
+			_ = out.write(wireMsg{Type: msgResult, Result: &resultMsg{
+				Key: m.Assign.Key, Attempt: m.Assign.Attempt, Result: raw,
+				SpecDigest: "forged", ResultDigest: digestOf(raw),
+			}})
+		}
+	}()
+	waitFleet(t, coord, 1)
+
+	res, err := runner.Run(ctx, runner.Config{Workers: 1, Executor: coord}, echoTrials(3))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Count(runner.OutcomeFailed) != 0 {
+		t.Errorf("campaign had %d failed cells; digest mismatches must re-dispatch, not fail", res.Count(runner.OutcomeFailed))
+	}
+	st := coord.Stats()
+	if st.Divergences == 0 {
+		t.Error("digest mismatch not counted as divergence")
+	}
+	if st.LocalTrials == 0 {
+		t.Error("trials never fell back past the lying worker")
+	}
+}
+
+// The shared-secret handshake: a worker with the right token joins, one
+// with a missing or wrong token is turned away before dispatch with a
+// typed ErrAuthFailed, and the rejection is counted.
+func TestAuthTokenHandshake(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf, AuthToken: "campaign-secret"}
+	addr := startCoordinator(t, coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	noToken := &Worker{Addr: addr, Name: "w-anon", Exec: echoExec, Logf: t.Logf}
+	noDone := startWorker(t, ctx, noToken, ErrAuthFailed)
+	wrong := &Worker{Addr: addr, Name: "w-wrong", Exec: echoExec, Logf: t.Logf,
+		AuthToken: "guessed-secret"}
+	wrongDone := startWorker(t, ctx, wrong, ErrAuthFailed)
+	right := &Worker{Addr: addr, Name: "w-right", Exec: echoExec, Logf: t.Logf,
+		AuthToken: "campaign-secret", HeartbeatInterval: 50 * time.Millisecond}
+	startWorker(t, ctx, right, nil)
+
+	for _, ch := range []<-chan struct{}{noDone, wrongDone} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("unauthenticated worker never exited")
+		}
+	}
+	waitFleet(t, coord, 1)
+
+	res, err := runner.Run(ctx, runner.Config{Workers: 2, Executor: coord}, echoTrials(4))
+	if err != nil || res.Count(runner.OutcomeFailed) != 0 {
+		t.Fatalf("authenticated campaign: res=%+v err=%v", res, err)
+	}
+	st := coord.Stats()
+	if st.AuthFailures < 2 {
+		t.Errorf("auth-failure counter = %d, want >= 2", st.AuthFailures)
+	}
+	if st.RemoteTrials == 0 {
+		t.Error("authenticated worker executed nothing")
+	}
+}
+
+// The admission allowlist: named workers join, unlisted ones are refused.
+func TestWorkersAllowlist(t *testing.T) {
+	coord := &Coordinator{Logf: t.Logf, Allowed: []string{"w-listed"}}
+	addr := startCoordinator(t, coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	listed := &Worker{Addr: addr, Name: "w-listed", Exec: echoExec, Logf: t.Logf,
+		HeartbeatInterval: 50 * time.Millisecond}
+	startWorker(t, ctx, listed, nil)
+	intruder := &Worker{Addr: addr, Name: "w-intruder", Exec: echoExec, Logf: t.Logf}
+	intruderDone := startWorker(t, ctx, intruder, ErrAuthFailed)
+
+	select {
+	case <-intruderDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("unlisted worker never exited")
+	}
+	waitFleet(t, coord, 1)
+	if st := coord.Stats(); st.AuthFailures == 0 {
+		t.Error("allowlist rejection not counted")
+	}
+}

@@ -80,7 +80,6 @@ const (
 	byeComplete      = "complete"
 	byeAuthFailed    = "auth-failed"
 	byeNotAllowed    = "not-allowed"
-	byeQuarantined   = "quarantined"
 	byeProtoMismatch = "proto-mismatch"
 )
 

@@ -65,12 +65,11 @@ type Worker struct {
 	// piggybacked on every beat frame so the coordinator can aggregate
 	// the fleet.
 	Metrics *telemetry.Registry
-	// ChaosCrash, ChaosBlackhole, and ChaosDiverge are key substrings
-	// arming the chaos hooks; empty values fall back to the
-	// faults.EnvDistCrash/Blackhole/Diverge hooks.
+	// ChaosCrash and ChaosBlackhole are key substrings arming the chaos
+	// hooks; empty values fall back to the faults.EnvDistCrash/Blackhole
+	// hooks.
 	ChaosCrash     string
 	ChaosBlackhole string
-	ChaosDiverge   string
 
 	drainOnce sync.Once
 	drainInit sync.Once
@@ -156,14 +155,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		rawConn, err := (&net.Dialer{}).DialContext(ctx, "tcp", w.Addr)
-		var conn net.Conn
-		if err == nil {
-			// Network chaos wraps the dialed connection below the frame
-			// layer, so injected corruption and partitions exercise the
-			// exact path a bad NIC would.
-			conn = chaosFromEnv(rawConn, w.name())
-		}
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", w.Addr)
 		if err != nil {
 			w.logf("dist: dial %s: %v (retrying in %v)", w.Addr, err, delay)
 			select {
@@ -274,7 +266,6 @@ func (w *Worker) session(ctx context.Context, conn io.ReadWriteCloser) (done boo
 
 	chaosCrash := w.chaos(w.ChaosCrash, faults.EnvDistCrash)
 	chaosBlackhole := w.chaos(w.ChaosBlackhole, faults.EnvDistBlackhole)
-	chaosDiverge := w.chaos(w.ChaosDiverge, faults.EnvDistDiverge)
 	for {
 		m, rerr := readMsg(conn)
 		if rerr != nil {
@@ -324,10 +315,6 @@ func (w *Worker) session(ctx context.Context, conn io.ReadWriteCloser) (done boo
 			go func() {
 				defer trials.Done()
 				res := w.runAssignment(sctx, a)
-				if chaosDiverge != "" && strings.Contains(a.Key, chaosDiverge) && res.Result != nil {
-					res.Result = perturb(res.Result)
-					res.ResultDigest = digestOf(res.Result)
-				}
 				_ = out.write(wireMsg{Type: msgResult, Result: &res})
 				// Chase the result with a fresh snapshot so fleet-summed
 				// counters converge with the journal immediately instead of
@@ -379,23 +366,6 @@ func (w *Worker) runAssignment(ctx context.Context, a assignMsg) (out resultMsg)
 	return out
 }
 
-// perturb flips one digit of a JSON result, keeping it syntactically
-// valid: the deliberately-divergent chaos worker's lie.
-func perturb(raw json.RawMessage) json.RawMessage {
-	mutated := append(json.RawMessage(nil), raw...)
-	for i, b := range mutated {
-		if b >= '0' && b <= '8' {
-			mutated[i] = b + 1
-			return mutated
-		}
-		if b == '9' {
-			mutated[i] = '7'
-			return mutated
-		}
-	}
-	return mutated
-}
-
 func byeReason(b *byeMsg) string {
 	if b == nil || b.Reason == "" {
 		return "no reason given"
@@ -412,8 +382,6 @@ func byeError(b *byeMsg) error {
 	switch b.Code {
 	case byeAuthFailed:
 		return ErrAuthFailed
-	case byeQuarantined:
-		return ErrWorkerQuarantined
 	case byeNotAllowed:
 		return fmt.Errorf("%w: not on the coordinator's allowlist", ErrAuthFailed)
 	case byeProtoMismatch:

@@ -6,8 +6,8 @@ import (
 )
 
 // Fault hooks: environment variables that arm injected failures inside
-// production code paths, so the smoke targets (`make soak`, `fabric-chaos`)
-// can drive every failure class through the real binaries.
+// production code paths, so `make soak` and the fault tests can drive
+// every failure class through the real code paths.
 // Production runs never set them. Every name is declared here and every
 // read goes through Hook — the only os.Getenv on a QUICBENCH_TEST_* name in
 // the module (`make check` enforces it).
@@ -43,27 +43,6 @@ const (
 	// silently dropped) — a one-way partition only a wall-clock reaper can
 	// detect.
 	EnvDistBlackhole = "QUICBENCH_TEST_DIST_BLACKHOLE"
-	// EnvDistDiverge: on matching assignments the worker executes the trial
-	// honestly and then perturbs one byte of the result before computing
-	// its digests — a Byzantine worker whose wire integrity is perfect and
-	// whose answers are wrong. Only audit re-execution can catch it.
-	EnvDistDiverge = "QUICBENCH_TEST_DIST_DIVERGE"
-
-	// Fabric network hooks, applied by the worker to its dialed connection
-	// below the frame layer — what a flaky NIC or mid-path box does.
-	//
-	// EnvDistLatency ("50ms"): random delays up to the given duration are
-	// injected before some writes, probing the reaper's stall boundary.
-	EnvDistLatency = "QUICBENCH_TEST_DIST_LATENCY"
-	// EnvDistCorrupt ("25"): every Nth write has one byte flipped; the
-	// frame CRC must catch every one.
-	EnvDistCorrupt = "QUICBENCH_TEST_DIST_CORRUPT"
-	// EnvDistPartition ("40:2s"): after N writes the outbound direction
-	// silently drops everything for the duration (reads still work).
-	EnvDistPartition = "QUICBENCH_TEST_DIST_PARTITION"
-	// EnvDistTorn ("30"): on the Nth write only half the bytes are sent and
-	// the connection is severed — a torn frame the reader must reject.
-	EnvDistTorn = "QUICBENCH_TEST_DIST_TORN"
 )
 
 // Hook returns the value arming the named fault hook ("" when unarmed).

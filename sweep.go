@@ -96,11 +96,6 @@ type SweepOptions struct {
 	// WorkerHeartbeatTimeout is how long a worker may go silent before
 	// the coordinator reaps it and re-dispatches its trials (default 10 s).
 	WorkerHeartbeatTimeout time.Duration
-	// AuditFraction, when positive, spot-checks that fraction of
-	// remote results (0..1) by re-executing the trial on a second worker
-	// (or locally); digest divergence marks the worker suspect and
-	// repeated divergence quarantines it. 1.0 audits every trial.
-	AuditFraction float64
 	// AuthToken, when non-empty, requires every worker to prove it holds
 	// the same shared secret in its hello handshake (HMAC, token never on
 	// the wire); unauthenticated peers are dropped before dispatch.
@@ -354,7 +349,6 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 	if opts.Listen != "" {
 		coord = &dist.Coordinator{
 			HeartbeatTimeout: opts.WorkerHeartbeatTimeout,
-			AuditFraction:    opts.AuditFraction,
 			AuthToken:        opts.AuthToken,
 			Allowed:          opts.WorkerAllowlist,
 			Logf:             opts.Logf,
@@ -383,9 +377,7 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepSummary, error) {
 			reg.RegisterFunc("dist.redispatches", func() int64 { return coord.Stats().Redispatches })
 			reg.RegisterFunc("dist.remote_trials", func() int64 { return coord.Stats().RemoteTrials })
 			reg.RegisterFunc("dist.local_trials", func() int64 { return coord.Stats().LocalTrials })
-			reg.RegisterFunc("dist.audits", func() int64 { return coord.Stats().Audits })
 			reg.RegisterFunc("dist.divergences", func() int64 { return coord.Stats().Divergences })
-			reg.RegisterFunc("dist.quarantines", func() int64 { return coord.Stats().Quarantines })
 			reg.RegisterFunc("dist.corrupt_frames", func() int64 { return coord.Stats().CorruptFrames })
 			reg.RegisterFunc("dist.auth_failures", func() int64 { return coord.Stats().AuthFailures })
 		}
