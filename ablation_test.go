@@ -3,7 +3,8 @@ package quicbench
 // Ablation benchmarks for the methodology's design choices (DESIGN.md §5):
 // each reports the metric value under the design decision and under its
 // ablated alternative via b.ReportMetric, so `go test -bench=Ablation`
-// doubles as a sensitivity analysis.
+// doubles as a sensitivity analysis. A run whose trials or envelopes are
+// undefined fails the benchmark rather than reporting a zero.
 
 import (
 	"testing"
@@ -14,6 +15,31 @@ import (
 	"repro/internal/pe"
 	"repro/internal/stacks"
 )
+
+// mustTrials runs a test trial set and its reference set and fails the
+// benchmark if either errors.
+func mustTrials(b *testing.B, test, ref core.Flow, n core.Network) (testTrials, refTrials [][]geom.Point) {
+	b.Helper()
+	testTrials, err := core.TestTrials(test, ref, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	refTrials, err = core.ReferenceTrials(ref, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return testTrials, refTrials
+}
+
+// mustBuild builds an envelope and fails the benchmark if it is degenerate.
+func mustBuild(b *testing.B, trials [][]geom.Point, seed uint64) *pe.Envelope {
+	b.Helper()
+	env, err := pe.BuildE(trials, pe.Options{Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
 
 func ablationNet() core.Network {
 	return core.Network{
@@ -32,11 +58,8 @@ func ablationNet() core.Network {
 func BenchmarkAblationClusteredVsSingleHull(b *testing.B) {
 	n := ablationNet()
 	for i := 0; i < b.N; i++ {
-		testTrials := core.TestTrials(core.Spec("quiche", stacks.CUBIC), n)
-		refTrials := core.ReferenceTrials(stacks.CUBIC, n)
-		clustered := pe.Conformance(
-			pe.Build(testTrials, pe.Options{Seed: 1}),
-			pe.Build(refTrials, pe.Options{Seed: 2}))
+		testTrials, refTrials := mustTrials(b, core.Spec("quiche", stacks.CUBIC), kernelFlow(stacks.CUBIC), n)
+		clustered := pe.Conformance(mustBuild(b, testTrials, 1), mustBuild(b, refTrials, 2))
 		single := pe.Conformance(pe.BuildOld(testTrials), pe.BuildOld(refTrials))
 		b.ReportMetric(clustered, "conf-clustered")
 		b.ReportMetric(single, "conf-singlehull")
@@ -50,13 +73,16 @@ func BenchmarkAblationClusteredVsSingleHull(b *testing.B) {
 func BenchmarkAblationCrossTrialIntersection(b *testing.B) {
 	n := ablationNet()
 	for i := 0; i < b.N; i++ {
-		trials := core.ReferenceTrials(stacks.CUBIC, n)
-		intersected := pe.Build(trials, pe.Options{Seed: 1})
+		trials, err := core.ReferenceTrials(kernelFlow(stacks.CUBIC), n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		intersected := mustBuild(b, trials, 1)
 		all := append([]geom.Point(nil), trials[0]...)
 		for _, t := range trials[1:] {
 			all = append(all, t...)
 		}
-		pooled := pe.Build([][]geom.Point{all}, pe.Options{Seed: 1})
+		pooled := mustBuild(b, [][]geom.Point{all}, 1)
 		b.ReportMetric(intersected.Area(), "area-intersected")
 		b.ReportMetric(pooled.Area(), "area-pooled")
 	}
@@ -67,9 +93,20 @@ func BenchmarkAblationCrossTrialIntersection(b *testing.B) {
 func BenchmarkAblationHyStart(b *testing.B) {
 	n := ablationNet()
 	for i := 0; i < b.N; i++ {
-		ref := core.Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
+		ref := kernelFlow(stacks.CUBIC)
 		noHS := core.Flow{Stack: stacks.ReferenceNoHyStart(), CCA: stacks.CUBIC}
-		rep := pe.Evaluate(core.TestTrialsAgainst(noHS, ref, n), core.ReferenceTrials(stacks.CUBIC, n), pe.Options{Seed: 1})
+		testTrials, err := core.TestTrials(noHS, ref, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refTrials, err := core.ReferenceTrials(ref, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := pe.EvaluateE(testTrials, refTrials, pe.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(rep.Conformance, "conf-noHyStart-vs-stock")
 	}
 }
@@ -80,12 +117,18 @@ func BenchmarkAblationHyStart(b *testing.B) {
 func BenchmarkAblationPacing(b *testing.B) {
 	n := ablationNet()
 	for i := 0; i < b.N; i++ {
-		paced := evaluate(refCache{}, core.Spec("quicgo", stacks.CUBIC), n)
+		paced, err := evaluate(refCache{}, core.Spec("quicgo", stacks.CUBIC), kernelFlow(stacks.CUBIC), n)
+		if err != nil {
+			b.Fatal(err)
+		}
 		unpacedStack, err := customStack("unpaced", CUBIC, Tunables{NoPacing: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		unpaced := evaluate(refCache{}, core.Flow{Stack: unpacedStack, CCA: stacks.CUBIC}, n)
+		unpaced, err := evaluate(refCache{}, core.Flow{Stack: unpacedStack, CCA: stacks.CUBIC}, kernelFlow(stacks.CUBIC), n)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(paced.Conformance, "conf-paced")
 		b.ReportMetric(unpaced.Conformance, "conf-unpaced")
 	}
@@ -97,10 +140,9 @@ func BenchmarkAblationPacing(b *testing.B) {
 func BenchmarkAblationTranslationSeeding(b *testing.B) {
 	n := ablationNet()
 	for i := 0; i < b.N; i++ {
-		testTrials := core.TestTrials(core.Spec("mvfst", stacks.BBR), n)
-		refTrials := core.ReferenceTrials(stacks.BBR, n)
-		test := pe.Build(testTrials, pe.Options{Seed: 1})
-		ref := pe.Build(refTrials, pe.Options{Seed: 2})
+		testTrials, refTrials := mustTrials(b, core.Spec("mvfst", stacks.BBR), kernelFlow(stacks.BBR), n)
+		test := mustBuild(b, testTrials, 1)
+		ref := mustBuild(b, refTrials, 2)
 		res := pe.ConformanceT(test, ref)
 		plain := pe.Conformance(test, ref)
 		b.ReportMetric(res.ConformanceT, "confT")

@@ -103,7 +103,7 @@ func dispatch(args []string) int {
 // expMain implements the experiment catalog (-list, -exp) and returns the
 // process exit code.
 func expMain(args []string) int {
-	fs := flag.NewFlagSet("quicbench", flag.ExitOnError)
+	fs := flag.NewFlagSet("quicbench", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list available experiments")
 		exp      = fs.String("exp", "", "experiment id (e.g. fig6, tab3) or 'all'")
@@ -113,7 +113,13 @@ func expMain(args []string) int {
 		trials   = fs.Int("trials", 0, "override trial count")
 		seed     = fs.Uint64("seed", 0, "override random seed")
 	)
-	fs.Parse(args)
+	// As in sweep: 0 for -h, 2 for a bad or undefined flag.
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

@@ -33,7 +33,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // unmatched word (a typo, or the retired `bench`/`perf`) fell through to the
 // experiment flag set, printed the experiment list and exited 0. The retired
 // live backend's subcommand and sweep flag are unknown words too, as are the
-// retired -audit and -pprof sweep flags.
+// retired -audit and -pprof sweep flags. A bad flag or -scale for the
+// experiment catalog exits 2 before any experiment runs.
 func TestDispatch(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -49,6 +50,8 @@ func TestDispatch(t *testing.T) {
 		{[]string{"sweep", "-audit", "0.5"}, 2, "flag provided but not defined: -audit"},
 		{[]string{"sweep", "-pprof", ":0"}, 2, "flag provided but not defined: -pprof"},
 		{[]string{"-exp", "nosuch"}, 2, `unknown experiment "nosuch"`},
+		{[]string{"-exp", "fig6", "-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-exp", "fig6", "-scale", "huge"}, 2, `unknown -scale "huge"`},
 	} {
 		code, stderr := runCLI(t, c.args...)
 		if code != c.code || !strings.Contains(stderr, c.stderr) {

@@ -3,7 +3,9 @@
 // the columns time_s, a_mbps, a_delay_ms, b_mbps, b_delay_ms — the §6
 // "systematic root cause analysis" workflow: time-series graphs of the
 // kind the paper uses to debug low-conformance implementations (Fig. 15).
-// A failed write (full disk, closed pipe) exits 1.
+// A failed write (full disk, closed pipe) exits 1. So does a trial that
+// aborts or in which a flow moves no data: the CSV still holds what was
+// measured, and the typed error follows on stderr.
 //
 // Usage:
 //
@@ -13,6 +15,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +75,7 @@ func main() {
 		Trials:        1,
 		Seed:          *seed,
 	}
-	res := core.RunTrial(a, b, n, 0)
+	res, trialErr := core.RunTrialE(a, b, n, 0)
 
 	opts := metrics.SampleOptions{RunDuration: n.Duration, BaseRTT: n.RTT}
 	sa := metrics.Series(res.Traces[0], opts)
@@ -90,7 +93,7 @@ func main() {
 		})
 	}
 	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := errors.Join(w.Error(), trialErr); err != nil {
 		fmt.Fprintln(os.Stderr, "timeseries:", err)
 		os.Exit(1)
 	}

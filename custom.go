@@ -116,8 +116,7 @@ func MeasureCustom(name string, cca CCA, t Tunables, net Network) (Report, error
 	if err != nil {
 		return Report{}, err
 	}
-	rep := core.Conformance(core.Flow{Stack: s, CCA: stacks.CCA(cca)}, net.toCore())
-	return fromPEReport(rep), nil
+	return conformance(core.Flow{Stack: s, CCA: stacks.CCA(cca)}, net)
 }
 
 // MeasureCustomFairness runs the §4.3 bandwidth-share experiment between a
@@ -131,13 +130,7 @@ func MeasureCustomFairness(name string, cca CCA, t Tunables, against Impl, net N
 	if err != nil {
 		return Share{}, err
 	}
-	res := core.BandwidthShare(core.Flow{Stack: s, CCA: stacks.CCA(cca)}, fb, net.toCore())
-	return Share{
-		A:        Impl{Stack: name, CCA: cca},
-		B:        against,
-		ShareA:   res.ShareA,
-		MeanMbps: res.MeanMbps,
-	}, nil
+	return share(Impl{Stack: name, CCA: cca}, against, core.Flow{Stack: s, CCA: stacks.CCA(cca)}, fb, net)
 }
 
 // Profile reports the transport profile of a registry stack, for

@@ -15,8 +15,8 @@ import (
 )
 
 // Scale sets how heavy an experiment run is. Full reproduces the paper's
-// methodology exactly; Quick trades fidelity for turnaround and is what
-// the benchmarks use.
+// methodology exactly; Quick trades fidelity for turnaround and is the
+// default of ExpConfig and the command line.
 type Scale struct {
 	Duration time.Duration
 	Trials   int
@@ -112,26 +112,73 @@ func LookupExperiment(id string) (Experiment, bool) {
 
 // --- shared helpers ---
 
-// refCache memoizes reference trials per (CCA, network) within one
-// experiment run: Fig. 6 alone would otherwise recompute the kernel
-// self-competition 22 times.
-type refCache map[string][][]geom.Point
-
-func (rc refCache) get(cca stacks.CCA, n core.Network) [][]geom.Point {
-	key := string(cca) + "|" + n.String() + fmt.Sprint(n.Wild, n.Duration, n.Trials, n.Seed)
-	if v, ok := rc[key]; ok {
-		return v
-	}
-	v := core.ReferenceTrials(cca, n)
-	rc[key] = v
-	return v
+// kernelFlow is the kernel reference implementation of one CCA.
+func kernelFlow(cca stacks.CCA) core.Flow {
+	return core.Flow{Stack: stacks.Reference(), CCA: cca}
 }
 
-// evaluate runs the conformance pipeline with cached references.
-func evaluate(rc refCache, fl core.Flow, n core.Network) pe.Report {
-	testTrials := core.TestTrials(fl, n)
-	refTrials := rc.get(fl.CCA, n)
-	return pe.Evaluate(testTrials, refTrials, pe.Options{Seed: n.Seed})
+// refCache memoizes reference trials, or the error that ended them, per
+// (reference flow, network) within one experiment run: Fig. 6 alone would
+// otherwise recompute the kernel self-competition 22 times. Every cell that
+// shares a failed reference reports that failure.
+type refCache map[string]struct {
+	trials [][]geom.Point
+	err    error
+}
+
+// trials runs fl's test trials against ref and fetches ref's cached
+// self-competition trials. Like sweep, it reports the test trials' failure
+// first.
+func (rc refCache) trials(fl, ref core.Flow, n core.Network) (test, refTrials [][]geom.Point, err error) {
+	if test, err = core.TestTrials(fl, ref, n); err != nil {
+		return nil, nil, err
+	}
+	key := ref.Stack.Name + "|" + string(ref.CCA) + "|" + n.String() + fmt.Sprint(n.Wild, n.Duration, n.Trials, n.Seed)
+	v, ok := rc[key]
+	if !ok {
+		v.trials, v.err = core.ReferenceTrials(ref, n)
+		rc[key] = v
+	}
+	return test, v.trials, v.err
+}
+
+// evaluate runs the conformance pipeline for fl against ref with cached
+// reference trials. On error the report is undefined.
+func evaluate(rc refCache, fl, ref core.Flow, n core.Network) (pe.Report, error) {
+	test, refTrials, err := rc.trials(fl, ref, n)
+	if err != nil {
+		return pe.Report{}, err
+	}
+	return pe.EvaluateE(test, refTrials, pe.Options{Seed: n.Seed})
+}
+
+// envelopePair builds the test and reference PEs for display. The error
+// names the first degenerate side; the best-effort envelopes come back
+// regardless, for plotting, but numbers read from them are then undefined.
+func envelopePair(test, ref [][]geom.Point, seed uint64) (testEnv, refEnv *pe.Envelope, err error) {
+	testEnv, terr := pe.BuildE(test, pe.Options{Seed: seed})
+	refEnv, err = pe.BuildE(ref, pe.Options{Seed: seed + 1})
+	if terr != nil {
+		err = fmt.Errorf("test envelope: %w", terr)
+	} else if err != nil {
+		err = fmt.Errorf("reference envelope: %w", err)
+	}
+	return testEnv, refEnv, err
+}
+
+// orNA formats a defined result, or n/a with the reason when err is set.
+func orNA(err error, format string, args ...any) string {
+	if err != nil {
+		return report.NA(err)
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// printNA ends an experiment whose remaining output is undefined: the
+// prefix, then n/a with the reason.
+func printNA(cfg ExpConfig, prefix string, err error) error {
+	_, werr := fmt.Fprintln(cfg.Out, prefix+report.NA(err))
+	return werr
 }
 
 // savePlot writes an SVG when plotting is enabled.
@@ -146,8 +193,11 @@ func savePlot(cfg ExpConfig, name string, plot *report.SVGPlot) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := plot.Render(f); err != nil {
+	err = plot.Render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(cfg.Out, "  [plot written: %s]\n", filepath.Join(cfg.PlotDir, name))

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pe"
 	"repro/internal/report"
 	"repro/internal/stacks"
 )
@@ -16,15 +15,13 @@ import (
 func runFig5(cfg ExpConfig) error {
 	cfg = cfg.withDefaults()
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
-	refTrials := core.ReferenceTrials(stacks.BBR, n)
+	rc := refCache{}
 
 	tbl := &report.Table{Header: []string{"cwnd_gain", "Conf", "Conf-T", "Δ-tput (Mbps)", "Δ-delay (ms)"}}
 	for _, gain := range []float64{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0} {
 		variant := stacks.WithBBRCwndGain(gain)
-		fl := core.Flow{Stack: variant, CCA: stacks.BBR}
-		testTrials := core.TestTrials(fl, n)
-		rep := pe.Evaluate(testTrials, refTrials, pe.Options{Seed: n.Seed})
-		tbl.AddRow(fmt.Sprintf("%.1f", gain), rep.Conformance, rep.ConformanceT,
+		rep, err := evaluate(rc, core.Flow{Stack: variant, CCA: stacks.BBR}, kernelFlow(stacks.BBR), n)
+		tbl.AddResult(err, 1, fmt.Sprintf("%.1f", gain), rep.Conformance, rep.ConformanceT,
 			fmt.Sprintf("%+.1f", rep.DeltaThroughputMbps), fmt.Sprintf("%+.1f", rep.DeltaDelayMs))
 	}
 	if err := tbl.Render(cfg.Out); err != nil {
@@ -51,8 +48,8 @@ func conformanceHeatmap(cfg ExpConfig, rc refCache, n core.Network, title string
 			if !s.Has(cca) {
 				continue
 			}
-			rep := evaluate(rc, core.Flow{Stack: s, CCA: cca}, n)
-			h.Values[r][c] = rep.Conformance
+			rep, err := evaluate(rc, core.Flow{Stack: s, CCA: cca}, kernelFlow(cca), n)
+			h.Values[r][c], h.Errs[r][c] = rep.Conformance, err
 		}
 	}
 	return h, nil
@@ -105,17 +102,12 @@ func runFig11(cfg ExpConfig) error {
 // cell = row's share).
 func fairnessMatrix(cfg ExpConfig, impls []core.Flow, labels []string, n core.Network, title string) *report.Heatmap {
 	h := report.NewHeatmap(title, labels, labels)
-	type cell struct{ r, c int }
-	results := map[cell]float64{}
 	for i := range impls {
 		for j := i; j < len(impls); j++ {
-			sh := core.BandwidthShare(impls[i], impls[j], n)
-			results[cell{i, j}] = sh.ShareA
-			results[cell{j, i}] = 1 - sh.ShareA
+			sh, err := core.BandwidthShare(impls[i], impls[j], n)
+			h.Values[i][j], h.Errs[i][j] = sh.ShareA, err
+			h.Values[j][i], h.Errs[j][i] = 1-sh.ShareA, err
 		}
-	}
-	for rc, v := range results {
-		h.Values[rc.r][rc.c] = v
 	}
 	return h
 }
@@ -168,8 +160,8 @@ func runFig13(cfg ExpConfig) error {
 			bbrLabels, cubicLabels)
 		for r, bf := range bbrFlows {
 			for c, cf := range cubicFlows {
-				sh := core.BandwidthShare(bf, cf, n)
-				h.Values[r][c] = sh.ShareA
+				sh, err := core.BandwidthShare(bf, cf, n)
+				h.Values[r][c], h.Errs[r][c] = sh.ShareA, err
 			}
 		}
 		if err := h.Render(cfg.Out); err != nil {
@@ -199,8 +191,8 @@ func runTab3(cfg ExpConfig) error {
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
 	tbl := &report.Table{Header: []string{"Stack", "Type", "Conf-old", "Conf", "Conf-T", "Δ-tput", "Δ-delay"}}
 	for _, im := range tab3Impls {
-		rep := evaluate(rc, core.Flow{Stack: stacks.Get(im.Stack), CCA: im.CCA}, n)
-		tbl.AddRow(im.Stack, string(im.CCA), rep.ConformanceOld, rep.Conformance, rep.ConformanceT,
+		rep, err := evaluate(rc, core.Flow{Stack: stacks.Get(im.Stack), CCA: im.CCA}, kernelFlow(im.CCA), n)
+		tbl.AddResult(err, 2, im.Stack, string(im.CCA), rep.ConformanceOld, rep.Conformance, rep.ConformanceT,
 			fmt.Sprintf("%+.1f Mbps", rep.DeltaThroughputMbps),
 			fmt.Sprintf("%+.1f ms", rep.DeltaDelayMs))
 	}
@@ -226,28 +218,34 @@ func runTab4(cfg ExpConfig) error {
 		{"quiche", stacks.CUBIC, "RFC 8312bis rollback disabled"},
 	}
 	for _, fx := range fixes {
-		orig := evaluate(rc, core.Flow{Stack: stacks.Get(fx.stack), CCA: fx.cca}, n)
 		fixedStack, ok := stacks.Fixed(fx.stack, fx.cca)
 		if !ok {
 			return fmt.Errorf("tab4: no fix registered for %s %s", fx.stack, fx.cca)
 		}
-		fixed := evaluate(rc, core.Flow{Stack: fixedStack, CCA: fx.cca}, n)
-		tbl.AddRow(fx.stack, string(fx.cca), orig.Conformance, orig.ConformanceT,
+		ref := kernelFlow(fx.cca)
+		orig, err := evaluate(rc, core.Flow{Stack: stacks.Get(fx.stack), CCA: fx.cca}, ref, n)
+		fixed, ferr := evaluate(rc, core.Flow{Stack: fixedStack, CCA: fx.cca}, ref, n)
+		if err == nil && ferr != nil {
+			err = fmt.Errorf("fixed variant: %w", ferr)
+		}
+		tbl.AddResult(err, 2, fx.stack, string(fx.cca), orig.Conformance, orig.ConformanceT,
 			fixed.Conformance, fixed.ConformanceT, fx.remark)
 	}
 
 	// xquic CUBIC: no fix; instead compare against a HyStart-less kernel.
-	orig := evaluate(rc, core.Spec("xquic", stacks.CUBIC), n)
-	noHS := stacks.ReferenceNoHyStart()
-	vsNoHS := core.ConformanceAgainst(core.Spec("xquic", stacks.CUBIC),
-		core.Flow{Stack: noHS, CCA: stacks.CUBIC}, n)
-	tbl.AddRow("xquic", "cubic", orig.Conformance, orig.ConformanceT,
+	xquic := core.Spec("xquic", stacks.CUBIC)
+	orig, err := evaluate(rc, xquic, kernelFlow(stacks.CUBIC), n)
+	vsNoHS, nerr := evaluate(rc, xquic, core.Flow{Stack: stacks.ReferenceNoHyStart(), CCA: stacks.CUBIC}, n)
+	if err == nil && nerr != nil {
+		err = fmt.Errorf("vs no-HyStart reference: %w", nerr)
+	}
+	tbl.AddResult(err, 2, "xquic", "cubic", orig.Conformance, orig.ConformanceT,
 		vsNoHS.Conformance, vsNoHS.ConformanceT, "vs TCP CUBIC w/o HyStart (no fix applied)")
 
 	// Unfixable rows, for completeness.
 	for _, im := range []stacks.Impl{{Stack: "xquic", CCA: stacks.Reno}, {Stack: "neqo", CCA: stacks.CUBIC}} {
-		rep := evaluate(rc, core.Flow{Stack: stacks.Get(im.Stack), CCA: im.CCA}, n)
-		tbl.AddRow(im.Stack, string(im.CCA), rep.Conformance, rep.ConformanceT, "-", "-",
+		rep, err := evaluate(rc, core.Flow{Stack: stacks.Get(im.Stack), CCA: im.CCA}, kernelFlow(im.CCA), n)
+		tbl.AddResult(err, 2, im.Stack, string(im.CCA), rep.Conformance, rep.ConformanceT, "-", "-",
 			"CCA verified compliant; stack-level root cause")
 	}
 	return tbl.Render(cfg.Out)

@@ -1,6 +1,7 @@
 package quicbench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -45,24 +46,21 @@ func runTab1(cfg ExpConfig) error {
 func runFig1(cfg ExpConfig) error {
 	cfg = cfg.withDefaults()
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
-	fl := core.Spec("quiche", stacks.CUBIC)
-
-	testTrials := core.TestTrials(fl, n)
-	refTrials := core.ReferenceTrials(stacks.CUBIC, n)
-
+	fmt.Fprintf(cfg.Out, "quiche CUBIC vs kernel CUBIC (%s)\n", n)
+	testTrials, refTrials, err := refCache{}.trials(core.Spec("quiche", stacks.CUBIC), kernelFlow(stacks.CUBIC), n)
+	if err != nil {
+		return printNA(cfg, "  ", err)
+	}
 	oldTest := pe.BuildOld(testTrials)
 	oldRef := pe.BuildOld(refTrials)
-	newTest := pe.Build(testTrials, pe.Options{Seed: n.Seed})
-	newRef := pe.Build(refTrials, pe.Options{Seed: n.Seed + 1})
-
 	confOld := pe.Conformance(oldTest, oldRef)
-	confNew := pe.Conformance(newTest, newRef)
-
-	fmt.Fprintf(cfg.Out, "quiche CUBIC vs kernel CUBIC (%s)\n", n)
 	fmt.Fprintf(cfg.Out, "  (a) single-hull definition:  Conformance = %.2f (1 hull each)\n", confOld)
-	fmt.Fprintf(cfg.Out, "  (b) clustering-based:        Conformance = %.2f (test k=%d, ref k=%d)\n",
-		confNew, newTest.K, newRef.K)
-	if confNew > confOld+0.05 {
+
+	newTest, newRef, err := envelopePair(testTrials, refTrials, n.Seed)
+	confNew := pe.Conformance(newTest, newRef)
+	fmt.Fprintln(cfg.Out, "  (b) clustering-based:        "+orNA(err,
+		"Conformance = %.2f (test k=%d, ref k=%d)", confNew, newTest.K, newRef.K))
+	if err == nil && confNew > confOld+0.05 {
 		fmt.Fprintln(cfg.Out, "  note: clustered conformance came out higher in this run; the paper's")
 		fmt.Fprintln(cfg.Out, "  point is that the single hull OVERESTIMATES overlap when clouds are split")
 	}
@@ -88,10 +86,16 @@ func runFig2(cfg ExpConfig) error {
 		cfg.Scale.Duration = 60 * time.Second
 	}
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
-	refTrials := core.ReferenceTrials(stacks.BBR, n)
-	env := pe.Build(refTrials, pe.Options{Seed: n.Seed, ForceK: 2})
-
 	fmt.Fprintf(cfg.Out, "kernel BBR self-competition (%s), forced k=2:\n", n)
+	refTrials, err := core.ReferenceTrials(kernelFlow(stacks.BBR), n)
+	var env *pe.Envelope
+	if err == nil {
+		env, err = pe.BuildE(refTrials, pe.Options{Seed: n.Seed, ForceK: 2})
+	}
+	if err != nil {
+		return printNA(cfg, "  ", err)
+	}
+
 	pts := env.AllPoints()
 	// Split points by nearest hull and report cluster centroids.
 	for i, h := range env.Hulls {
@@ -109,8 +113,8 @@ func runFig2(cfg ExpConfig) error {
 				i+1, count, cx/float64(count), cy/float64(count))
 		}
 	}
-	kNat := pe.Build(refTrials, pe.Options{Seed: n.Seed}).K
-	fmt.Fprintf(cfg.Out, "  natural k chosen by the retention rule: %d\n", kNat)
+	natural, err := pe.BuildE(refTrials, pe.Options{Seed: n.Seed})
+	fmt.Fprintln(cfg.Out, "  natural k chosen by the retention rule: "+orNA(err, "%d", natural.K))
 
 	plot := &report.SVGPlot{Title: "Fig 2: TCP BBR ProbeBW / ProbeRTT clusters"}
 	peSeries(plot, "kernel BBR", env)
@@ -122,10 +126,18 @@ func runFig3(cfg ExpConfig) error {
 	cfg = cfg.withDefaults()
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
 	for _, cca := range []stacks.CCA{stacks.CUBIC, stacks.Reno} {
-		trials := core.ReferenceTrials(cca, n)
-		env := pe.Build(trials, pe.Options{Seed: n.Seed})
-		fmt.Fprintf(cfg.Out, "kernel %s self-competition: natural k = %d, %d hulls, R(k) = %v\n",
-			cca, env.K, len(env.Hulls), fmtCurve(env.Retention))
+		prefix := fmt.Sprintf("kernel %s self-competition: ", cca)
+		trials, err := core.ReferenceTrials(kernelFlow(cca), n)
+		var env *pe.Envelope
+		if err == nil {
+			env, err = pe.BuildE(trials, pe.Options{Seed: n.Seed})
+		}
+		if err != nil {
+			fmt.Fprintln(cfg.Out, prefix+report.NA(err))
+			continue
+		}
+		fmt.Fprintf(cfg.Out, "%snatural k = %d, %d hulls, R(k) = %v\n",
+			prefix, env.K, len(env.Hulls), fmtCurve(env.Retention))
 		plot := &report.SVGPlot{Title: fmt.Sprintf("Fig 3: kernel %s clusters", cca)}
 		peSeries(plot, "kernel "+string(cca), env)
 		if err := savePlot(cfg, fmt.Sprintf("fig3_%s_clusters.svg", cca), plot); err != nil {
@@ -140,8 +152,14 @@ func runFig3(cfg ExpConfig) error {
 func runFig4(cfg ExpConfig) error {
 	cfg = cfg.withDefaults()
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
-	trials := core.TestTrials(core.Spec("quiche", stacks.CUBIC), n)
-	env := pe.Build(trials, pe.Options{Seed: n.Seed})
+	trials, err := core.TestTrials(core.Spec("quiche", stacks.CUBIC), kernelFlow(stacks.CUBIC), n)
+	var env *pe.Envelope
+	if err == nil {
+		env, err = pe.BuildE(trials, pe.Options{Seed: n.Seed})
+	}
+	if err != nil {
+		return printNA(cfg, "quiche CUBIC retention curve: ", err)
+	}
 
 	tbl := &report.Table{Header: []string{"k", "IOU R(k)", "drop to R(k+1)"}}
 	for k := 1; k <= len(env.Retention); k++ {
@@ -154,7 +172,7 @@ func runFig4(cfg ExpConfig) error {
 	if err := tbl.Render(cfg.Out); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(cfg.Out, "chosen k (before the steepest qualifying drop): %d\n", env.K)
+	_, err = fmt.Fprintf(cfg.Out, "chosen k (before the steepest qualifying drop): %d\n", env.K)
 	return err
 }
 
@@ -170,17 +188,21 @@ func fmtCurve(rs []float64) string {
 }
 
 // lowConfPE renders one implementation's PE against the reference and
-// prints its metric line; shared by Figs. 7-10 and 14.
+// prints its metric line; shared by Figs. 7-10. An undefined cell prints
+// n/a and has no plot.
 func lowConfPE(cfg ExpConfig, rc refCache, stackName string, cca stacks.CCA, n core.Network, fileTag string) error {
-	fl := core.Spec(stackName, cca)
-	testTrials := core.TestTrials(fl, n)
-	refTrials := rc.get(cca, n)
-	rep := pe.Evaluate(testTrials, refTrials, pe.Options{Seed: n.Seed})
-	fmt.Fprintf(cfg.Out, "  %-10s %-6s %-18s Conf=%.2f Conf-T=%.2f Δtput=%+.1f Mbps Δdelay=%+.1f ms\n",
-		stackName, cca, n.String(), rep.Conformance, rep.ConformanceT,
-		rep.DeltaThroughputMbps, rep.DeltaDelayMs)
-	testEnv := pe.Build(testTrials, pe.Options{Seed: n.Seed})
-	refEnv := pe.Build(refTrials, pe.Options{Seed: n.Seed + 1})
+	testTrials, refTrials, err := rc.trials(core.Spec(stackName, cca), kernelFlow(cca), n)
+	var rep pe.Report
+	if err == nil {
+		rep, err = pe.EvaluateE(testTrials, refTrials, pe.Options{Seed: n.Seed})
+	}
+	fmt.Fprintf(cfg.Out, "  %-10s %-6s %-18s %s\n", stackName, cca, n.String(), orNA(err,
+		"Conf=%.2f Conf-T=%.2f Δtput=%+.1f Mbps Δdelay=%+.1f ms",
+		rep.Conformance, rep.ConformanceT, rep.DeltaThroughputMbps, rep.DeltaDelayMs))
+	if err != nil {
+		return nil
+	}
+	testEnv, refEnv, _ := envelopePair(testTrials, refTrials, n.Seed) // plotted best effort
 	plot := &report.SVGPlot{Title: fmt.Sprintf("%s %s, %s (Conf %.2f)", stackName, cca, n.String(), rep.Conformance)}
 	peSeries(plot, "reference", refEnv)
 	peSeries(plot, stackName, testEnv)
@@ -260,11 +282,15 @@ func runFig14(cfg ExpConfig) error {
 	fmt.Fprintln(cfg.Out, "xquic BBR: original (cwnd gain 2.5) vs fixed (cwnd gain 2.0):")
 	for _, bdp := range []float64{1, 3, 5} {
 		n := cfg.net(20, 10*time.Millisecond, bdp, false)
-		orig := evaluate(rc, core.Spec("xquic", stacks.BBR), n)
-		fix := evaluate(rc, core.Flow{Stack: fixed, CCA: stacks.BBR}, n)
-		fmt.Fprintf(cfg.Out, "  %.0f BDP: Conf %.2f -> %.2f   Conf-T %.2f -> %.2f   Δtput %+.1f -> %+.1f\n",
-			bdp, orig.Conformance, fix.Conformance, orig.ConformanceT, fix.ConformanceT,
-			orig.DeltaThroughputMbps, fix.DeltaThroughputMbps)
+		orig, err := evaluate(rc, core.Spec("xquic", stacks.BBR), kernelFlow(stacks.BBR), n)
+		fix, ferr := evaluate(rc, core.Flow{Stack: fixed, CCA: stacks.BBR}, kernelFlow(stacks.BBR), n)
+		if err == nil && ferr != nil {
+			err = fmt.Errorf("fixed variant: %w", ferr)
+		}
+		fmt.Fprintf(cfg.Out, "  %.0f BDP: %s\n", bdp, orNA(err,
+			"Conf %.2f -> %.2f   Conf-T %.2f -> %.2f   Δtput %+.1f -> %+.1f",
+			orig.Conformance, fix.Conformance, orig.ConformanceT, fix.ConformanceT,
+			orig.DeltaThroughputMbps, fix.DeltaThroughputMbps))
 	}
 	return nil
 }
@@ -275,24 +301,30 @@ func runFig15(cfg ExpConfig) error {
 	cfg = cfg.withDefaults()
 	rc := refCache{}
 	n := cfg.net(20, 10*time.Millisecond, 1, false)
+	quiche := core.Spec("quiche", stacks.CUBIC)
 	fixed, _ := stacks.Fixed("quiche", stacks.CUBIC)
+	fixedFlow := core.Flow{Stack: fixed, CCA: stacks.CUBIC}
 
-	orig := evaluate(rc, core.Spec("quiche", stacks.CUBIC), n)
-	fix := evaluate(rc, core.Flow{Stack: fixed, CCA: stacks.CUBIC}, n)
-	fmt.Fprintf(cfg.Out, "quiche CUBIC: original Conf=%.2f Conf-T=%.2f Δtput=%+.1f\n",
-		orig.Conformance, orig.ConformanceT, orig.DeltaThroughputMbps)
-	fmt.Fprintf(cfg.Out, "quiche CUBIC: RFC8312bis disabled Conf=%.2f Conf-T=%.2f Δtput=%+.1f\n",
-		fix.Conformance, fix.ConformanceT, fix.DeltaThroughputMbps)
-	if fix.Conformance > orig.Conformance {
+	orig, err := evaluate(rc, quiche, kernelFlow(stacks.CUBIC), n)
+	fix, ferr := evaluate(rc, fixedFlow, kernelFlow(stacks.CUBIC), n)
+	const metrics = "Conf=%.2f Conf-T=%.2f Δtput=%+.1f"
+	fmt.Fprintln(cfg.Out, "quiche CUBIC: original "+orNA(err, metrics,
+		orig.Conformance, orig.ConformanceT, orig.DeltaThroughputMbps))
+	fmt.Fprintln(cfg.Out, "quiche CUBIC: RFC8312bis disabled "+orNA(ferr, metrics,
+		fix.Conformance, fix.ConformanceT, fix.DeltaThroughputMbps))
+	if err == nil && ferr == nil && fix.Conformance > orig.Conformance {
 		fmt.Fprintln(cfg.Out, "  -> disabling the spurious-loss rollback improves conformance (paper: 0.08 -> 0.55)")
 	}
 
 	// Throughput time series of one trial, original vs fixed vs reference.
-	ref := core.Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	resOrig := core.RunTrial(core.Spec("quiche", stacks.CUBIC), ref, n, 0)
-	resFix := core.RunTrial(core.Flow{Stack: fixed, CCA: stacks.CUBIC}, ref, n, 0)
+	const seriesTitle = "throughput time series (Mbps, 10-RTT windows, every 20th window):"
+	resOrig, err := core.RunTrialE(quiche, kernelFlow(stacks.CUBIC), n, 0)
+	resFix, ferr := core.RunTrialE(fixedFlow, kernelFlow(stacks.CUBIC), n, 0)
+	if err = errors.Join(err, ferr); err != nil {
+		return printNA(cfg, seriesTitle+" ", err)
+	}
 	so, sf := resOrig.Series(0, n), resFix.Series(0, n)
-	fmt.Fprintln(cfg.Out, "throughput time series (Mbps, 10-RTT windows, every 20th window):")
+	fmt.Fprintln(cfg.Out, seriesTitle)
 	fmt.Fprintln(cfg.Out, "  t(s)   original  fixed  competitor(orig run)")
 	co := resOrig.Series(1, n)
 	for i := 0; i < len(so) && i < len(sf); i += 20 {

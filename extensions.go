@@ -117,7 +117,8 @@ func (d DesiredRegion) polygon(maxMbps float64) geom.Polygon {
 // SelectCCA scores each candidate implementation by the fraction of its
 // Performance Envelope samples falling inside the application's desired
 // region (§6: "applications can leverage the performance envelope to
-// identify the trade-off space they want to operate in").
+// identify the trade-off space they want to operate in"). A candidate
+// whose trials fail or yield no samples has no score and is an error.
 func SelectCCA(candidates []Impl, region DesiredRegion, net Network) ([]CCAScore, error) {
 	n := net.toCore()
 	var out []CCAScore
@@ -126,12 +127,13 @@ func SelectCCA(candidates []Impl, region DesiredRegion, net Network) ([]CCAScore
 		if err != nil {
 			return nil, err
 		}
-		trials := core.TestTrials(f, n)
-		env := pe.Build(trials, pe.Options{Seed: n.Seed})
-		pts := env.AllPoints()
+		trials, err := core.TestTrials(f, kernelFlow(f.CCA), n)
+		if err != nil {
+			return nil, fmt.Errorf("quicbench: %s: %w", im, err)
+		}
+		pts := (&pe.Envelope{Trials: trials}).AllPoints()
 		if len(pts) == 0 {
-			out = append(out, CCAScore{Impl: im})
-			continue
+			return nil, fmt.Errorf("quicbench: %s: %w", im, pe.ErrNoSamples)
 		}
 		in := 0
 		var maxY float64
@@ -212,25 +214,35 @@ func runExtTransitivity(cfg ExpConfig) error {
 	for i, f := range panel {
 		labels[i] = f.Stack.Name + " " + string(f.CCA)
 	}
-	wins := make([][]bool, len(panel))
+	// wins[i][j] is +1 when i takes more than half against j, -1 when it
+	// takes less, and 0 when the share is undefined.
+	wins := make([][]int, len(panel))
 	for i := range panel {
-		wins[i] = make([]bool, len(panel))
+		wins[i] = make([]int, len(panel))
 	}
 	for i := range panel {
 		for j := i + 1; j < len(panel); j++ {
-			sh := core.BandwidthShare(panel[i], panel[j], n)
-			wins[i][j] = sh.ShareA > 0.5
-			wins[j][i] = !wins[i][j]
+			sh, err := core.BandwidthShare(panel[i], panel[j], n)
+			if err != nil {
+				fmt.Fprintf(cfg.Out, "  %s vs %s: %s\n", labels[i], labels[j], report.NA(err))
+				continue
+			}
+			wins[i][j] = -1
+			if sh.ShareA > 0.5 {
+				wins[i][j] = 1
+			}
+			wins[j][i] = -wins[i][j]
 		}
 	}
-	violations := 0
+	triples, violations := 0, 0
 	for i := range panel {
 		for j := range panel {
 			for k := range panel {
-				if i == j || j == k || i == k {
+				if i == j || j == k || i == k || wins[i][j]*wins[j][k]*wins[i][k] == 0 {
 					continue
 				}
-				if wins[i][j] && wins[j][k] && !wins[i][k] {
+				triples++
+				if wins[i][j] > 0 && wins[j][k] > 0 && wins[i][k] < 0 {
 					violations++
 					fmt.Fprintf(cfg.Out, "  non-transitive: %s > %s > %s but not %s > %s\n",
 						labels[i], labels[j], labels[k], labels[i], labels[k])
@@ -239,7 +251,7 @@ func runExtTransitivity(cfg ExpConfig) error {
 		}
 	}
 	_, err := fmt.Fprintf(cfg.Out, "checked %d ordered triples, %d transitivity violations (deep buffer)\n",
-		len(panel)*(len(panel)-1)*(len(panel)-2), violations)
+		triples, violations)
 	return err
 }
 
@@ -252,8 +264,8 @@ func runExtBackground(cfg ExpConfig) error {
 	tbl := &report.Table{Header: []string{"Implementation", "Share vs kernel CUBIC", "Mbps"}}
 	for _, im := range stacks.AllImplementations() {
 		f := core.Flow{Stack: stacks.Get(im.Stack), CCA: im.CCA}
-		sh := core.BandwidthShare(f, bg, n)
-		tbl.AddRow(implLabel(im), sh.ShareA, fmt.Sprintf("%.1f", sh.MeanMbps[0]))
+		sh, err := core.BandwidthShare(f, bg, n)
+		tbl.AddResult(err, 1, implLabel(im), sh.ShareA, fmt.Sprintf("%.1f", sh.MeanMbps[0]))
 	}
 	if err := tbl.Render(cfg.Out); err != nil {
 		return err

@@ -147,7 +147,7 @@ func TestWorkMetrics(t *testing.T) {
 			n := benchNet(7)
 			n.Duration = 2 * sim.Second
 			for _, stack := range []string{"quicgo", "mvfst", "quiche"} {
-				if _, err := core.ConformanceE(core.Spec(stack, stacks.CUBIC), n); err != nil {
+				if _, err := core.Conformance(core.Spec(stack, stacks.CUBIC), n); err != nil {
 					t.Fatalf("%s: %v", stack, err)
 				}
 			}

@@ -121,13 +121,16 @@ func TestImpairedTrialDeterministic(t *testing.T) {
 }
 
 // TestZeroImpairmentMatchesCleanPath: an empty Impairment must take the
-// clean path and reproduce RunTrial exactly (no extra RNG draws, no
+// clean path and reproduce RunTrialE exactly (no extra RNG draws, no
 // injector in the topology).
 func TestZeroImpairmentMatchesCleanPath(t *testing.T) {
 	n := chaosNet(7)
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	clean := RunTrial(a, b, n, 0)
+	clean, err := RunTrialE(a, b, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	impaired, err := RunTrialImpaired(a, b, n, 0, Impairment{})
 	if err != nil {
 		t.Fatal(err)

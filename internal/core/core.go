@@ -29,8 +29,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Typed trial failures, surfaced by the E-suffixed APIs. Watchdog aborts
-// additionally match faults.ErrRunaway / faults.ErrStalled via errors.Is.
+// Typed trial failures. Watchdog aborts additionally match
+// faults.ErrRunaway / faults.ErrStalled via errors.Is.
 var (
 	// ErrZeroThroughput marks a trial in which a flow moved no data inside
 	// the measurement window — a degenerate run (e.g. a blackout covering
@@ -96,9 +96,6 @@ func (n Network) String() string {
 // reorderProb returns the out-of-order delivery probability: a small
 // baseline on the testbed, larger on Internet paths.
 func reorderProb(n Network) float64 {
-	if reorderOverride >= 0 {
-		return reorderOverride
-	}
 	if n.Wild {
 		return 0.001
 	}
@@ -190,18 +187,12 @@ type Bounds struct {
 	Deadline sim.Time
 }
 
-// RunTrial runs one two-flow experiment: a and b share the bottleneck for
+// RunTrialE runs one two-flow experiment: a and b share the bottleneck for
 // the configured duration. The trial index individualizes randomness.
-// Degenerate outcomes are silently returned as-is; RunTrialE reports them.
-func RunTrial(a, b Flow, n Network, trial int) *TrialResult {
-	res, _ := runTrial(a, b, n, trial, nil, Bounds{}, nil)
-	return res
-}
-
-// RunTrialE is RunTrial with degenerate outcomes reported as typed errors:
-// a watchdog abort (faults.ErrRunaway / faults.ErrStalled) or a flow that
-// moved no data (ErrZeroThroughput). The partial result is returned
-// alongside the error for diagnostics.
+// Degenerate outcomes are reported as typed errors: a watchdog abort
+// (faults.ErrRunaway / faults.ErrStalled) or a flow that moved no data
+// (ErrZeroThroughput). The partial result is returned alongside the error
+// for diagnostics.
 func RunTrialE(a, b Flow, n Network, trial int) (*TrialResult, error) {
 	return runTrial(a, b, n, trial, nil, Bounds{}, nil)
 }
@@ -268,13 +259,12 @@ func runTrial(a, b Flow, n Network, trial int, imp *Impairment, bounds Bounds, t
 		ReorderProb:  reorderProb(n),
 		ReorderDelay: serializationTime(8*1500, n.BandwidthMbps),
 	})
-	if err != nil {
-		return &TrialResult{}, fmt.Errorf("core: trial %d topology: %w", trial, err)
-	}
-
 	res := &TrialResult{}
 	res.Traces[0] = &metrics.FlowTrace{}
 	res.Traces[1] = &metrics.FlowTrace{}
+	if err != nil {
+		return res, fmt.Errorf("core: trial %d topology: %w", trial, err)
+	}
 
 	// Fault layer: the injector sits between the senders and the shared
 	// bottleneck, so impairments hit the data path (ACK paths stay clean,
@@ -414,10 +404,8 @@ func runTrial(a, b Flow, n Network, trial int, imp *Impairment, bounds Bounds, t
 // trialSet runs n.Trials trials of test sharing the bottleneck with ref and
 // returns the per-trial sample sets of the *test* flow. offset shifts the
 // trial indices in the seed space; role ("test" or "ref") names the set in
-// trace files and errors. A failing trial ends the set with its error,
-// unless lenient: then degenerate outcomes are used as-is and no error is
-// reported.
-func trialSet(test, ref Flow, n Network, offset int, role string, lenient bool,
+// trace files and errors. A failing trial ends the set with its error.
+func trialSet(test, ref Flow, n Network, offset int, role string,
 	imp *Impairment, bounds Bounds, ct *cellTracer) ([][]geom.Point, error) {
 	n = n.withDefaults()
 	trials := make([][]geom.Point, n.Trials)
@@ -430,7 +418,7 @@ func trialSet(test, ref Flow, n Network, offset int, role string, lenient bool,
 		if cerr := tt.close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		if err != nil && !lenient {
+		if err != nil {
 			return nil, fmt.Errorf("%s trial %d: %w", role, t, err)
 		}
 		trials[t] = res.Points(0, n)
@@ -442,47 +430,26 @@ func trialSet(test, ref Flow, n Network, offset int, role string, lenient bool,
 // so they do not mirror each other packet-for-packet.
 const refOffset = 1000
 
-// TestTrials measures the test implementation competing against the kernel
-// reference of the same CCA (§3.1), returning per-trial sample sets of the
-// *test* flow.
-func TestTrials(test Flow, n Network) [][]geom.Point {
-	return TestTrialsAgainst(test, Flow{Stack: stacks.Reference(), CCA: test.CCA}, n)
+// TestTrials measures the test implementation competing against ref —
+// normally the kernel reference of the same CCA (§3.1), or a variant such
+// as Table 4's "TCP CUBIC w/o HyStart" — returning per-trial sample sets of
+// the *test* flow.
+func TestTrials(test, ref Flow, n Network) ([][]geom.Point, error) {
+	return trialSet(test, ref, n, 0, "test", nil, Bounds{}, nil)
 }
 
-// TestTrialsAgainst is TestTrials with an explicit competitor reference
-// (used by Table 4's "TCP CUBIC w/o HyStart" comparison).
-func TestTrialsAgainst(test, ref Flow, n Network) [][]geom.Point {
-	trials, _ := trialSet(test, ref, n, 0, "test", true, nil, Bounds{}, nil)
-	return trials
-}
-
-// ReferenceTrials measures a kernel flow competing against another kernel
-// flow of the same CCA — the reference Performance Envelope's input.
-func ReferenceTrials(cca stacks.CCA, n Network) [][]geom.Point {
-	return ReferenceTrialsFor(Flow{Stack: stacks.Reference(), CCA: cca}, n)
-}
-
-// ReferenceTrialsFor is ReferenceTrials with an explicit reference stack
-// variant (e.g. kernel without HyStart).
-func ReferenceTrialsFor(ref Flow, n Network) [][]geom.Point {
-	trials, _ := trialSet(ref, ref, n, refOffset, "ref", true, nil, Bounds{}, nil)
-	return trials
+// ReferenceTrials measures a reference flow competing against itself —
+// the reference Performance Envelope's input.
+func ReferenceTrials(ref Flow, n Network) ([][]geom.Point, error) {
+	return trialSet(ref, ref, n, refOffset, "ref", nil, Bounds{}, nil)
 }
 
 // Conformance runs the full §3 pipeline for one implementation under one
-// network configuration. Degenerate runs silently yield zero metrics;
-// ConformanceE reports them as typed errors.
-func Conformance(test Flow, n Network) pe.Report {
-	testTrials := TestTrials(test, n)
-	refTrials := ReferenceTrials(test.CCA, n)
-	return pe.Evaluate(testTrials, refTrials, pe.Options{Seed: n.Seed})
-}
-
-// ConformanceE is Conformance with every degenerate outcome surfaced as a
-// typed error: trial-level aborts (watchdog, zero throughput) and
-// envelope-level degeneracies (pe.ErrNoSamples, pe.ErrInsufficientSamples,
-// pe.ErrDegenerateEnvelope).
-func ConformanceE(test Flow, n Network) (pe.Report, error) {
+// network configuration. Every degenerate outcome is a typed error:
+// trial-level aborts (watchdog, zero throughput) and envelope-level
+// degeneracies (pe.ErrNoSamples, pe.ErrInsufficientSamples,
+// pe.ErrDegenerateEnvelope); the metrics are then undefined.
+func Conformance(test Flow, n Network) (pe.Report, error) {
 	return conformanceImpaired(test, n, nil, Bounds{}, nil)
 }
 
@@ -495,22 +462,15 @@ func ConformanceImpaired(test Flow, n Network, imp Impairment) (pe.Report, error
 
 func conformanceImpaired(test Flow, n Network, imp *Impairment, bounds Bounds, ct *cellTracer) (pe.Report, error) {
 	ref := Flow{Stack: stacks.Reference(), CCA: test.CCA}
-	testTrials, err := trialSet(test, ref, n, 0, "test", false, imp, bounds, ct)
+	testTrials, err := trialSet(test, ref, n, 0, "test", imp, bounds, ct)
 	if err != nil {
 		return pe.Report{}, err
 	}
-	refTrials, err := trialSet(ref, ref, n, refOffset, "ref", false, imp, bounds, ct)
+	refTrials, err := trialSet(ref, ref, n, refOffset, "ref", imp, bounds, ct)
 	if err != nil {
 		return pe.Report{}, err
 	}
 	return pe.EvaluateE(testTrials, refTrials, pe.Options{Seed: n.Seed})
-}
-
-// ConformanceAgainst evaluates test against an explicit reference flow.
-func ConformanceAgainst(test, ref Flow, n Network) pe.Report {
-	testTrials := TestTrialsAgainst(test, ref, n)
-	refTrials := ReferenceTrialsFor(ref, n)
-	return pe.Evaluate(testTrials, refTrials, pe.Options{Seed: n.Seed})
 }
 
 // ShareResult reports a bandwidth-share experiment (§4.3).
@@ -524,36 +484,25 @@ type ShareResult struct {
 
 // BandwidthShare runs the §4.3 pairwise fairness experiment: both flows
 // launched together on a 1 BDP buffer, share computed from mean
-// throughputs over the trials.
-func BandwidthShare(a, b Flow, n Network) ShareResult {
+// throughputs over the trials. One starved flow is a measured share of 0
+// or 1; a trial abort, or both flows starved, leaves the share undefined
+// and is reported as an error.
+func BandwidthShare(a, b Flow, n Network) (ShareResult, error) {
 	n = n.withDefaults()
 	var sumA, sumB float64
 	for t := 0; t < n.Trials; t++ {
-		res := RunTrial(a, b, n, t)
+		res, err := RunTrialE(a, b, n, t)
+		if err != nil && !errors.Is(err, ErrZeroThroughput) {
+			return ShareResult{A: a, B: b}, err
+		}
 		sumA += res.MeanMbps[0]
 		sumB += res.MeanMbps[1]
 	}
 	ma := sumA / float64(n.Trials)
 	mb := sumB / float64(n.Trials)
-	share := 0.5
-	if ma+mb > 0 {
-		share = ma / (ma + mb)
+	if ma+mb == 0 {
+		return ShareResult{A: a, B: b}, fmt.Errorf("core: share of %s %s vs %s %s (%s): both flows: %w",
+			a.Stack.Name, a.CCA, b.Stack.Name, b.CCA, n, ErrZeroThroughput)
 	}
-	return ShareResult{A: a, B: b, ShareA: share, MeanMbps: [2]float64{ma, mb}}
+	return ShareResult{A: a, B: b, ShareA: ma / (ma + mb), MeanMbps: [2]float64{ma, mb}}, nil
 }
-
-// Envelopes builds both PEs (test and reference) for plotting.
-func Envelopes(test Flow, n Network) (testEnv, refEnv *pe.Envelope) {
-	n = n.withDefaults()
-	testEnv = pe.Build(TestTrials(test, n), pe.Options{Seed: n.Seed})
-	refEnv = pe.Build(ReferenceTrials(test.CCA, n), pe.Options{Seed: n.Seed + 1})
-	return testEnv, refEnv
-}
-
-// reorderOverride, when non-negative, replaces the default reordering
-// probability; used by calibration probes.
-var reorderOverride = -1.0
-
-// SetReorderProbForTest overrides the baseline reordering probability.
-// Pass a negative value to restore the default.
-func SetReorderProbForTest(p float64) { reorderOverride = p }

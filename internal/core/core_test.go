@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/geom"
+	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/stacks"
 )
@@ -40,11 +42,21 @@ func TestSpecPanicsOnUnknownStack(t *testing.T) {
 	Spec("nosuchstack", stacks.CUBIC)
 }
 
+// mustTrial runs one trial and fails the test on any trial error.
+func mustTrial(t *testing.T, a, b Flow, n Network, trial int) *TrialResult {
+	t.Helper()
+	res, err := RunTrialE(a, b, n, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunTrialBasics(t *testing.T) {
 	n := quickNet()
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	res := RunTrial(a, b, n, 0)
+	res := mustTrial(t, a, b, n, 0)
 
 	// Link should be well utilized by two CUBIC flows.
 	total := res.MeanMbps[0] + res.MeanMbps[1]
@@ -67,12 +79,12 @@ func TestRunTrialDeterministic(t *testing.T) {
 	n.Duration = 10 * sim.Second
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	r1 := RunTrial(a, b, n, 3)
-	r2 := RunTrial(a, b, n, 3)
+	r1 := mustTrial(t, a, b, n, 3)
+	r2 := mustTrial(t, a, b, n, 3)
 	if r1.MeanMbps != r2.MeanMbps || r1.Drops != r2.Drops {
 		t.Fatalf("same seed+trial differ: %+v vs %+v", r1.MeanMbps, r2.MeanMbps)
 	}
-	r3 := RunTrial(a, b, n, 4)
+	r3 := mustTrial(t, a, b, n, 4)
 	if r1.MeanMbps == r3.MeanMbps {
 		t.Fatal("different trials produced identical results (no randomization)")
 	}
@@ -81,7 +93,7 @@ func TestRunTrialDeterministic(t *testing.T) {
 func TestPointsOnSamplingGrid(t *testing.T) {
 	n := quickNet()
 	n.Duration = 20 * sim.Second
-	res := RunTrial(Spec("quicgo", stacks.CUBIC), Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}, n, 0)
+	res := mustTrial(t, Spec("quicgo", stacks.CUBIC), Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}, n, 0)
 	pts := res.Points(0, n)
 	// 16 s measured window / 100 ms windows = up to 160 samples.
 	if len(pts) < 100 || len(pts) > 160 {
@@ -99,7 +111,10 @@ func TestPointsOnSamplingGrid(t *testing.T) {
 
 func TestTestTrialsShape(t *testing.T) {
 	n := quickNet()
-	trials := TestTrials(Spec("quicgo", stacks.CUBIC), n)
+	trials, err := TestTrials(Spec("quicgo", stacks.CUBIC), Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(trials) != n.Trials {
 		t.Fatalf("trials = %d, want %d", len(trials), n.Trials)
 	}
@@ -114,7 +129,10 @@ func TestConformantStackScoresHigh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full conformance sweep; skipped with -short")
 	}
-	rep := Conformance(Spec("quicgo", stacks.CUBIC), quickNet())
+	rep, err := Conformance(Spec("quicgo", stacks.CUBIC), quickNet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Conformance < 0.5 {
 		t.Fatalf("quicgo CUBIC conformance = %.2f, want conformant (>= 0.5)", rep.Conformance)
 	}
@@ -126,7 +144,10 @@ func TestMvfstBBRSignature(t *testing.T) {
 	}
 	// The paper's strongest result: mvfst BBR has ~0 conformance, high
 	// Conformance-T, large positive Δ-throughput, ~0 Δ-delay (Table 3).
-	rep := Conformance(Spec("mvfst", stacks.BBR), quickNet())
+	rep, err := Conformance(Spec("mvfst", stacks.BBR), quickNet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Conformance > 0.2 {
 		t.Fatalf("mvfst BBR conformance = %.2f, want ~0", rep.Conformance)
 	}
@@ -143,7 +164,10 @@ func TestNeqoCubicSignature(t *testing.T) {
 		t.Skip("full conformance sweep; skipped with -short")
 	}
 	// Table 3: conf ~0, Δ-tput ~ -6 Mbps.
-	rep := Conformance(Spec("neqo", stacks.CUBIC), quickNet())
+	rep, err := Conformance(Spec("neqo", stacks.CUBIC), quickNet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Conformance > 0.4 {
 		t.Fatalf("neqo CUBIC conformance = %.2f, want low", rep.Conformance)
 	}
@@ -155,7 +179,10 @@ func TestNeqoCubicSignature(t *testing.T) {
 func TestBandwidthShareIdenticalFlowsFair(t *testing.T) {
 	n := quickNet()
 	ref := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	sh := BandwidthShare(ref, ref, n)
+	sh, err := BandwidthShare(ref, ref, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sh.ShareA < 0.35 || sh.ShareA > 0.65 {
 		t.Fatalf("identical flows share = %.2f, want ~0.5", sh.ShareA)
 	}
@@ -164,7 +191,10 @@ func TestBandwidthShareIdenticalFlowsFair(t *testing.T) {
 func TestBandwidthShareChromiumAggressive(t *testing.T) {
 	// §4.3: chromium CUBIC (2 emulated flows) is unfair to other CUBICs.
 	n := quickNet()
-	sh := BandwidthShare(Spec("chromium", stacks.CUBIC), Spec("quicgo", stacks.CUBIC), n)
+	sh, err := BandwidthShare(Spec("chromium", stacks.CUBIC), Spec("quicgo", stacks.CUBIC), n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sh.ShareA < 0.55 {
 		t.Fatalf("chromium CUBIC share = %.2f, want > 0.55 (aggressive)", sh.ShareA)
 	}
@@ -172,12 +202,23 @@ func TestBandwidthShareChromiumAggressive(t *testing.T) {
 
 func TestEnvelopesNonEmpty(t *testing.T) {
 	n := quickNet()
-	testEnv, refEnv := Envelopes(Spec("quicgo", stacks.CUBIC), n)
-	if len(testEnv.Hulls) == 0 || len(refEnv.Hulls) == 0 {
-		t.Fatal("empty envelope")
+	ref := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
+	testTrials, err := TestTrials(Spec("quicgo", stacks.CUBIC), ref, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if testEnv.Area() <= 0 || refEnv.Area() <= 0 {
-		t.Fatal("zero-area envelope")
+	refTrials, err := ReferenceTrials(ref, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trials := range [][][]geom.Point{testTrials, refTrials} {
+		env, err := pe.BuildE(trials, pe.Options{Seed: n.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Hulls) == 0 || env.Area() <= 0 {
+			t.Fatal("empty envelope")
+		}
 	}
 }
 
@@ -187,8 +228,8 @@ func TestWildModePerturbsRTT(t *testing.T) {
 	n.Wild = true
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	r1 := RunTrial(a, b, n, 0)
-	r2 := RunTrial(a, b, n, 1)
+	r1 := mustTrial(t, a, b, n, 0)
+	r2 := mustTrial(t, a, b, n, 1)
 	if r1.MeanMbps == r2.MeanMbps {
 		t.Fatal("wild trials identical")
 	}
@@ -210,9 +251,23 @@ func TestConformanceAgainstNoHyStartReference(t *testing.T) {
 	}
 	n := quickNet()
 	test := Spec("xquic", stacks.CUBIC)
-	vsStock := Conformance(test, n)
-	noHS := stacks.ReferenceNoHyStart()
-	vsNoHS := ConformanceAgainst(test, Flow{Stack: noHS, CCA: stacks.CUBIC}, n)
+	vsStock, err := Conformance(test, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noHS := Flow{Stack: stacks.ReferenceNoHyStart(), CCA: stacks.CUBIC}
+	testTrials, err := TestTrials(test, noHS, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTrials, err := ReferenceTrials(noHS, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vsNoHS, err := pe.EvaluateE(testTrials, refTrials, pe.Options{Seed: n.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rep := range []struct {
 		name string
 		v    float64
@@ -229,7 +284,7 @@ func TestConformanceAgainstNoHyStartReference(t *testing.T) {
 func TestSeriesExtraction(t *testing.T) {
 	n := quickNet()
 	n.Duration = 10 * sim.Second
-	res := RunTrial(Spec("quicgo", stacks.CUBIC), Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}, n, 0)
+	res := mustTrial(t, Spec("quicgo", stacks.CUBIC), Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}, n, 0)
 	series := res.Series(0, n)
 	if len(series) == 0 {
 		t.Fatal("empty series")

@@ -40,7 +40,7 @@ func goldenNetwork() Network {
 }
 
 // goldenTrial is the serialized form of one trial's complete metric output:
-// the §3.1 sample sets for both flows plus every aggregate RunTrial reports.
+// the §3.1 sample sets for both flows plus every aggregate RunTrialE reports.
 // Floats are marshalled by encoding/json's shortest round-trip formatting,
 // so any drift in any bit of any sample changes the file.
 type goldenTrial struct {
@@ -128,7 +128,7 @@ func TestGoldenConformance(t *testing.T) {
 		t.Skip("conformance golden runs 2x2 trials; skipped in -short")
 	}
 	n := goldenNetwork()
-	rep, err := ConformanceE(Spec("quicgo", stacks.CUBIC), n)
+	rep, err := Conformance(Spec("quicgo", stacks.CUBIC), n)
 	if err != nil {
 		t.Fatalf("golden conformance failed: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/transport"
 )
 
-// RunStaggeredTrial is RunTrial with flow B starting `delay` after flow A
+// RunStaggeredTrial runs a two-flow trial, flow B starting `delay` after A
 // (§6: "the impact of different start times ... on fairness"). Mean
 // throughputs are computed over the overlap window only — from B's start
 // plus a 10% guard to the end of the run minus the same guard — so the

@@ -62,7 +62,10 @@ func TestRunTrialTracedDoesNotPerturb(t *testing.T) {
 		_, traced := runTraced(t, cca, 3)
 		a := Flow{Stack: stacks.Reference(), CCA: cca}
 		b := Flow{Stack: stacks.Reference(), CCA: cca}
-		plain := RunTrial(a, b, traceNet(), 3)
+		plain, err := RunTrialE(a, b, traceNet(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if traced.MeanMbps != plain.MeanMbps || traced.Drops != plain.Drops || traced.Events != plain.Events {
 			t.Errorf("%s: traced result diverged from untraced: %+v vs %+v",
 				cca, traced.MeanMbps, plain.MeanMbps)

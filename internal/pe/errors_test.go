@@ -76,11 +76,3 @@ func TestEvaluateETagsFailingSide(t *testing.T) {
 		t.Errorf("valid inputs rejected: %v", err)
 	}
 }
-
-func TestEvaluatePermissiveOnEmpty(t *testing.T) {
-	// The legacy API must keep its permissive no-panic behaviour.
-	r := Evaluate([][]geom.Point{{}}, [][]geom.Point{{}}, Options{Seed: 1})
-	if r.Conformance != 0 {
-		t.Errorf("empty evaluate conformance = %v, want 0", r.Conformance)
-	}
-}

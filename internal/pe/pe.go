@@ -25,9 +25,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Typed degenerate-input errors, reported by BuildE/EvaluateE. The legacy
-// Build/Evaluate keep their permissive behaviour (empty envelopes, zero
-// conformance) for backward compatibility.
+// Typed degenerate-input errors, reported by BuildE/EvaluateE. A metric
+// over a degenerate envelope is undefined, not zero.
 var (
 	// ErrNoSamples marks a trial set with no samples at all — e.g. every
 	// packet of a measured flow was lost.
@@ -130,9 +129,8 @@ func (e *Envelope) Contains(p geom.Point) bool {
 // Area returns the union area of the envelope's hulls.
 func (e *Envelope) Area() float64 { return geom.UnionArea(e.Hulls) }
 
-// Build constructs the enhanced (clustered, cross-trial) PE from per-trial
-// point sets.
-func Build(trials [][]geom.Point, opts Options) *Envelope {
+// build constructs the envelope that BuildE validates.
+func build(trials [][]geom.Point, opts Options) *Envelope {
 	opts = opts.withDefaults()
 	rng := stats.NewRNG(opts.Seed ^ 0x9e3779b97f4a7c15)
 	e := &Envelope{Trials: trials}
@@ -157,13 +155,14 @@ func Build(trials [][]geom.Point, opts Options) *Envelope {
 	return e
 }
 
-// BuildE is Build with degenerate inputs reported as typed errors: an
-// all-empty trial set returns ErrNoSamples, fewer than MinSamples pooled
-// points returns ErrInsufficientSamples, and an envelope whose hulls all
-// collapsed returns ErrDegenerateEnvelope. The best-effort envelope is
-// returned alongside the error so callers can still inspect or plot it.
+// BuildE constructs the enhanced (clustered, cross-trial) PE from per-trial
+// point sets. Degenerate inputs are typed errors: an all-empty trial set
+// returns ErrNoSamples, fewer than MinSamples pooled points returns
+// ErrInsufficientSamples, and an envelope whose hulls all collapsed returns
+// ErrDegenerateEnvelope. The best-effort envelope is returned alongside the
+// error so callers can still inspect or plot it.
 func BuildE(trials [][]geom.Point, opts Options) (*Envelope, error) {
-	e := Build(trials, opts)
+	e := build(trials, opts)
 	return e, validate(e)
 }
 
@@ -360,22 +359,16 @@ type Report struct {
 	K int
 }
 
-// Evaluate computes the full metric set: enhanced conformance,
+// EvaluateE computes the full metric set: enhanced conformance,
 // old-definition conformance, and Conformance-T with Δ hints. Degenerate
-// inputs silently yield zero metrics; EvaluateE reports them as typed
-// errors.
-func Evaluate(testTrials, refTrials [][]geom.Point, opts Options) Report {
-	r, _ := EvaluateE(testTrials, refTrials, opts)
-	return r
-}
-
-// EvaluateE is Evaluate with degenerate inputs surfaced as typed errors
-// (ErrNoSamples, ErrInsufficientSamples, ErrDegenerateEnvelope), wrapped
-// to say which side — test or reference — was degenerate. The best-effort
-// report is returned alongside the error.
+// inputs are surfaced as typed errors (ErrNoSamples,
+// ErrInsufficientSamples, ErrDegenerateEnvelope), wrapped to say which
+// side — test or reference — was degenerate; the metrics are then
+// undefined, and the best-effort report alongside the error is for
+// diagnostics only.
 func EvaluateE(testTrials, refTrials [][]geom.Point, opts Options) (Report, error) {
-	test := Build(testTrials, opts)
-	ref := Build(refTrials, opts)
+	test := build(testTrials, opts)
+	ref := build(refTrials, opts)
 	oldTest := BuildOld(testTrials)
 	oldRef := BuildOld(refTrials)
 	r := Report{

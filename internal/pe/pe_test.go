@@ -27,7 +27,7 @@ func cloudTrials(seed uint64, nTrials, perBlob int, sd float64, centers ...geom.
 
 func TestBuildSingleCluster(t *testing.T) {
 	trials := cloudTrials(1, 3, 100, 1, geom.Point{X: 10, Y: 20})
-	e := Build(trials, Options{Seed: 1})
+	e := build(trials, Options{Seed: 1})
 	if e.K != 1 {
 		t.Fatalf("K = %d, want 1 for one blob", e.K)
 	}
@@ -41,7 +41,7 @@ func TestBuildSingleCluster(t *testing.T) {
 
 func TestBuildTwoClusters(t *testing.T) {
 	trials := cloudTrials(2, 3, 100, 0.8, geom.Point{X: 10, Y: 5}, geom.Point{X: 30, Y: 18})
-	e := Build(trials, Options{Seed: 2})
+	e := build(trials, Options{Seed: 2})
 	if e.K != 2 {
 		t.Fatalf("K = %d, want 2 (retention %v)", e.K, e.Retention)
 	}
@@ -57,18 +57,18 @@ func TestBuildTwoClusters(t *testing.T) {
 
 func TestBuildForceK(t *testing.T) {
 	trials := cloudTrials(3, 2, 80, 1, geom.Point{X: 10, Y: 10})
-	e := Build(trials, Options{Seed: 3, ForceK: 3})
+	e := build(trials, Options{Seed: 3, ForceK: 3})
 	if e.K != 3 {
 		t.Fatalf("ForceK ignored: K = %d", e.K)
 	}
 }
 
 func TestBuildEmpty(t *testing.T) {
-	e := Build(nil, Options{})
+	e := build(nil, Options{})
 	if len(e.Hulls) != 0 || e.Area() != 0 {
 		t.Fatal("empty build should be empty")
 	}
-	e2 := Build([][]geom.Point{{}, {}}, Options{})
+	e2 := build([][]geom.Point{{}, {}}, Options{})
 	if len(e2.Hulls) != 0 {
 		t.Fatal("all-empty trials should build empty envelope")
 	}
@@ -79,7 +79,7 @@ func TestCrossTrialIntersectionRemovesOutliers(t *testing.T) {
 	// Poison trial 0 with a distant outlier: the intersection with trial 1
 	// must exclude it.
 	trials[0] = append(trials[0], geom.Point{X: 100, Y: 100})
-	e := Build(trials, Options{Seed: 4})
+	e := build(trials, Options{Seed: 4})
 	if e.Contains(geom.Point{X: 100, Y: 100}) {
 		t.Fatal("outlier survived cross-trial intersection")
 	}
@@ -110,8 +110,8 @@ func TestBuildOldTrimsOutliers(t *testing.T) {
 
 func TestConformanceIdentical(t *testing.T) {
 	trials := cloudTrials(7, 3, 100, 1, geom.Point{X: 20, Y: 10})
-	a := Build(trials, Options{Seed: 7})
-	b := Build(trials, Options{Seed: 8})
+	a := build(trials, Options{Seed: 7})
+	b := build(trials, Options{Seed: 8})
 	c := Conformance(a, b)
 	if c < 0.85 || c > 1 {
 		t.Fatalf("self conformance = %v, want near 1", c)
@@ -119,8 +119,8 @@ func TestConformanceIdentical(t *testing.T) {
 }
 
 func TestConformanceDisjoint(t *testing.T) {
-	a := Build(cloudTrials(9, 3, 80, 0.5, geom.Point{X: 10, Y: 10}), Options{Seed: 9})
-	b := Build(cloudTrials(10, 3, 80, 0.5, geom.Point{X: 100, Y: 100}), Options{Seed: 10})
+	a := build(cloudTrials(9, 3, 80, 0.5, geom.Point{X: 10, Y: 10}), Options{Seed: 9})
+	b := build(cloudTrials(10, 3, 80, 0.5, geom.Point{X: 100, Y: 100}), Options{Seed: 10})
 	if c := Conformance(a, b); c != 0 {
 		t.Fatalf("disjoint conformance = %v, want 0", c)
 	}
@@ -130,8 +130,8 @@ func TestConformanceRange(t *testing.T) {
 	r := stats.NewRNG(11)
 	for trial := 0; trial < 20; trial++ {
 		dx := r.Float64() * 30
-		a := Build(cloudTrials(uint64(trial), 2, 60, 1, geom.Point{X: 10, Y: 10}), Options{Seed: uint64(trial)})
-		b := Build(cloudTrials(uint64(trial)+100, 2, 60, 1, geom.Point{X: 10 + dx, Y: 10}), Options{Seed: uint64(trial) + 100})
+		a := build(cloudTrials(uint64(trial), 2, 60, 1, geom.Point{X: 10, Y: 10}), Options{Seed: uint64(trial)})
+		b := build(cloudTrials(uint64(trial)+100, 2, 60, 1, geom.Point{X: 10 + dx, Y: 10}), Options{Seed: uint64(trial) + 100})
 		c := Conformance(a, b)
 		if c < 0 || c > 1 {
 			t.Fatalf("conformance out of range: %v", c)
@@ -142,8 +142,8 @@ func TestConformanceRange(t *testing.T) {
 func TestConformanceDecreasingWithSeparation(t *testing.T) {
 	prev := 1.1
 	for _, dx := range []float64{0, 2, 4, 8, 16} {
-		a := Build(cloudTrials(20, 3, 100, 1, geom.Point{X: 10, Y: 10}), Options{Seed: 20})
-		b := Build(cloudTrials(21, 3, 100, 1, geom.Point{X: 10 + dx, Y: 10}), Options{Seed: 21})
+		a := build(cloudTrials(20, 3, 100, 1, geom.Point{X: 10, Y: 10}), Options{Seed: 20})
+		b := build(cloudTrials(21, 3, 100, 1, geom.Point{X: 10 + dx, Y: 10}), Options{Seed: 21})
 		c := Conformance(a, b)
 		if c > prev+0.05 {
 			t.Fatalf("conformance rose with separation %v: %v -> %v", dx, prev, c)
@@ -164,8 +164,8 @@ func TestConformanceTRecoversTranslation(t *testing.T) {
 			shifted[i][j] = p.Add(shift)
 		}
 	}
-	test := Build(shifted, Options{Seed: 31})
-	ref := Build(base, Options{Seed: 32})
+	test := build(shifted, Options{Seed: 31})
+	ref := build(base, Options{Seed: 32})
 
 	plain := Conformance(test, ref)
 	res := ConformanceT(test, ref)
@@ -186,8 +186,8 @@ func TestConformanceTRecoversTranslation(t *testing.T) {
 
 func TestConformanceTAtLeastConformance(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
-		a := Build(cloudTrials(seed, 2, 60, 1.5, geom.Point{X: 10, Y: 10}), Options{Seed: seed})
-		b := Build(cloudTrials(seed+50, 2, 60, 1.5, geom.Point{X: 13, Y: 12}), Options{Seed: seed + 50})
+		a := build(cloudTrials(seed, 2, 60, 1.5, geom.Point{X: 10, Y: 10}), Options{Seed: seed})
+		b := build(cloudTrials(seed+50, 2, 60, 1.5, geom.Point{X: 13, Y: 12}), Options{Seed: seed + 50})
 		plain := Conformance(a, b)
 		res := ConformanceT(a, b)
 		if res.ConformanceT+1e-9 < plain {
@@ -199,7 +199,10 @@ func TestConformanceTAtLeastConformance(t *testing.T) {
 func TestEvaluateReportFields(t *testing.T) {
 	testTrials := cloudTrials(40, 3, 80, 1, geom.Point{X: 15, Y: 18})
 	refTrials := cloudTrials(41, 3, 80, 1, geom.Point{X: 10, Y: 10})
-	rep := Evaluate(testTrials, refTrials, Options{Seed: 40})
+	rep, err := EvaluateE(testTrials, refTrials, Options{Seed: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Conformance < 0 || rep.Conformance > 1 {
 		t.Fatalf("conformance out of range: %v", rep.Conformance)
 	}
@@ -220,7 +223,7 @@ func TestEvaluateReportFields(t *testing.T) {
 
 func TestTranslateMovesEverything(t *testing.T) {
 	trials := cloudTrials(50, 2, 50, 1, geom.Point{X: 10, Y: 10})
-	e := Build(trials, Options{Seed: 50})
+	e := build(trials, Options{Seed: 50})
 	d := geom.Point{X: 3, Y: -2}
 	moved := e.Translate(d)
 	if math.Abs(moved.Centroid().X-(e.Centroid().X+3)) > 1e-9 {
@@ -238,7 +241,7 @@ func TestClusteredPESmallerThanOld(t *testing.T) {
 	// Two separated blobs: the clustered PE area must be well below the
 	// single-hull PE area (the Fig. 1 effect).
 	trials := cloudTrials(60, 3, 100, 0.8, geom.Point{X: 10, Y: 5}, geom.Point{X: 30, Y: 18})
-	clustered := Build(trials, Options{Seed: 60})
+	clustered := build(trials, Options{Seed: 60})
 	old := BuildOld(trials)
 	if clustered.Area() >= old.Area()*0.6 {
 		t.Fatalf("clustered area %v not well below single-hull area %v", clustered.Area(), old.Area())
@@ -247,7 +250,7 @@ func TestClusteredPESmallerThanOld(t *testing.T) {
 
 func TestRetentionCurveExposed(t *testing.T) {
 	trials := cloudTrials(70, 2, 60, 1, geom.Point{X: 10, Y: 10})
-	e := Build(trials, Options{Seed: 70, MaxK: 4})
+	e := build(trials, Options{Seed: 70, MaxK: 4})
 	if len(e.Retention) != 4 {
 		t.Fatalf("retention curve length = %d, want 4", len(e.Retention))
 	}

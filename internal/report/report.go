@@ -1,17 +1,23 @@
 // Package report renders experiment results the way the paper presents
 // them: aligned ASCII tables (Tables 3/4), conformance heatmaps
-// (Figs. 6, 11-13), CSV exports, and SVG scatter/hull plots of
-// Performance Envelopes (Figs. 1-3, 7-10, 14-15).
+// (Figs. 6, 11-13), and SVG scatter/hull plots of Performance Envelopes
+// (Figs. 1-3, 7-10, 14-15). A value that cannot be defined — a degenerate
+// envelope, an aborted trial — renders as "n/a" with its reason, never as a
+// number.
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
-// Table is a simple aligned-column text table.
+// NA renders an undefined value with the reason it is undefined.
+func NA(err error) string { return "n/a (" + err.Error() + ")" }
+
+// Table is a simple aligned-column text table. A row shorter than the
+// header ends in a cell that spans the remaining columns.
 type Table struct {
 	Header []string
 	Rows   [][]string
@@ -31,6 +37,16 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
+// AddResult appends a row of cells whose first labels cells name what was
+// measured. When err is set the measurement is undefined: the row keeps the
+// labels and ends in one spanning cell that gives the reason.
+func (t *Table) AddResult(err error, labels int, cells ...any) {
+	if err != nil {
+		cells = append(cells[:labels:labels], NA(err))
+	}
+	t.AddRow(cells...)
+}
+
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Header))
@@ -39,6 +55,9 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
+			if len(row) < len(widths) && i == len(row)-1 {
+				break // a spanning cell does not widen its column
+			}
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
@@ -75,21 +94,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV exports the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Heatmap renders a labelled matrix of values in [0, 1] as text, using
 // shading characters plus the numeric value, approximating the paper's
 // conformance and throughput-ratio heatmaps.
@@ -97,8 +101,13 @@ type Heatmap struct {
 	Title     string
 	RowLabels []string
 	ColLabels []string
-	// Values[r][c]; NaN cells (missing implementations) render as "-".
+	// Values[r][c]; NaN cells (pairs that do not exist, such as a CCA a
+	// stack does not implement) render as "-".
 	Values [][]float64
+	// Errs[r][c], when non-nil, marks a cell whose value is undefined: it
+	// renders as "n/a", and each distinct reason is listed once under the
+	// map.
+	Errs [][]error
 }
 
 // shade maps a value in [0,1] to a block character.
@@ -117,12 +126,12 @@ func shade(v float64) string {
 	}
 }
 
-// Render writes the heatmap.
+// Render writes the heatmap, followed by one line per distinct reason
+// behind its "n/a" cells, and returns the write error, if any.
 func (h *Heatmap) Render(w io.Writer) error {
+	var b strings.Builder
 	if h.Title != "" {
-		if _, err := fmt.Fprintln(w, h.Title); err != nil {
-			return err
-		}
+		b.WriteString(h.Title + "\n")
 	}
 	rowW := 0
 	for _, l := range h.RowLabels {
@@ -137,63 +146,50 @@ func (h *Heatmap) Render(w io.Writer) error {
 		}
 	}
 	// Header row.
-	fmt.Fprintf(w, "%*s", rowW, "")
+	fmt.Fprintf(&b, "%*s", rowW, "")
 	for _, l := range h.ColLabels {
-		fmt.Fprintf(w, " %*s", colW, l)
+		fmt.Fprintf(&b, " %*s", colW, l)
 	}
-	fmt.Fprintln(w)
+	b.WriteString("\n")
+	var reasons []string
+	count := map[string]int{}
 	for r, label := range h.RowLabels {
-		fmt.Fprintf(w, "%*s", rowW, label)
+		fmt.Fprintf(&b, "%*s", rowW, label)
 		for c := range h.ColLabels {
 			v := h.Values[r][c]
-			if v != v {
-				fmt.Fprintf(w, " %*s", colW, "-")
-			} else {
-				fmt.Fprintf(w, " %*s", colW, fmt.Sprintf("%s%.2f", shade(v), v))
+			cell := "-"
+			if r < len(h.Errs) && c < len(h.Errs[r]) && h.Errs[r][c] != nil {
+				cell = "n/a"
+				reason := h.Errs[r][c].Error()
+				if count[reason] == 0 {
+					reasons = append(reasons, reason)
+				}
+				count[reason]++
+			} else if v == v {
+				cell = fmt.Sprintf("%s%.2f", shade(v), v)
 			}
+			fmt.Fprintf(&b, " %*s", colW, cell)
 		}
-		fmt.Fprintln(w)
+		b.WriteString("\n")
 	}
-	return nil
+	for _, reason := range reasons {
+		fmt.Fprintf(&b, "n/a ×%d: %s\n", count[reason], reason)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-// WriteCSV exports the heatmap as CSV with row/column labels.
-func (h *Heatmap) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{""}, h.ColLabels...)); err != nil {
-		return err
-	}
-	for r, label := range h.RowLabels {
-		row := []string{label}
-		for c := range h.ColLabels {
-			v := h.Values[r][c]
-			if v != v {
-				row = append(row, "")
-			} else {
-				row = append(row, fmt.Sprintf("%.4f", v))
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// NewHeatmap allocates a heatmap with all cells set to NaN.
+// NewHeatmap allocates a heatmap with all cells set to NaN and no
+// undefined cells.
 func NewHeatmap(title string, rows, cols []string) *Heatmap {
 	vals := make([][]float64, len(rows))
+	errs := make([][]error, len(rows))
 	for i := range vals {
 		vals[i] = make([]float64, len(cols))
+		errs[i] = make([]error, len(cols))
 		for j := range vals[i] {
-			vals[i][j] = nan()
+			vals[i][j] = math.NaN()
 		}
 	}
-	return &Heatmap{Title: title, RowLabels: rows, ColLabels: cols, Values: vals}
-}
-
-func nan() float64 {
-	var z float64
-	return z / z
+	return &Heatmap{Title: title, RowLabels: rows, ColLabels: cols, Values: vals, Errs: errs}
 }

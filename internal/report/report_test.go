@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -44,18 +45,6 @@ func TestTableColumnsAligned(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{Header: []string{"a", "b"}}
-	tbl.AddRow("x", 1.5)
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "a,b\nx,1.50\n" {
-		t.Fatalf("csv = %q", got)
-	}
-}
-
 func TestHeatmapRender(t *testing.T) {
 	h := NewHeatmap("Conformance", []string{"cubic", "bbr"}, []string{"quiche", "mvfst"})
 	h.Values[0][0] = 0.92
@@ -74,29 +63,68 @@ func TestHeatmapRender(t *testing.T) {
 	}
 }
 
+// A heatmap tells three cell kinds apart: a pair that does not exist ("-"),
+// a pair whose value is undefined ("n/a", its reason listed once under the
+// map), and a measured value, zero included.
+func TestHeatmapUndefinedCells(t *testing.T) {
+	h := NewHeatmap("", []string{"r"}, []string{"missing", "undef", "undef2", "zero"})
+	reason := errors.New("reference envelope: degenerate")
+	h.Errs[0][1] = reason
+	h.Errs[0][2] = reason
+	h.Values[0][3] = 0
+	var buf bytes.Buffer
+	if err := h.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("lines = %d, want header, row and one reason line:\n%s", len(lines), buf.String())
+	}
+	if got := strings.Fields(lines[1]); strings.Join(got, " ") != "r - n/a n/a ░0.00" {
+		t.Fatalf("row = %q, want cells -, n/a, n/a, ░0.00", got)
+	}
+	if want := "n/a ×2: reference envelope: degenerate"; lines[2] != want {
+		t.Fatalf("reason line = %q, want %q", lines[2], want)
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+func TestHeatmapRenderReportsWriteError(t *testing.T) {
+	h := NewHeatmap("t", []string{"r"}, []string{"c"})
+	if err := h.Render(failWriter{}); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Render to a failing writer = %v, want the write error", err)
+	}
+}
+
+// An undefined result keeps its label, and its reason spans the metric
+// columns without widening the first of them.
+func TestTableUndefinedRowSpans(t *testing.T) {
+	tbl := &Table{Header: []string{"Stack", "Conf", "Conf-T"}}
+	tbl.AddRow("quiche", 0.08, 0.55)
+	tbl.AddResult(errors.New("reference envelope: degenerate"), 1, "msquic", 0.0, 0.0)
+	var buf bytes.Buffer
+	if err := tbl.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if lines[0] != "Stack   Conf  Conf-T" {
+		t.Fatalf("header widened by the spanning cell: %q", lines[0])
+	}
+	if lines[3] != "msquic  n/a (reference envelope: degenerate)" {
+		t.Fatalf("undefined row = %q", lines[3])
+	}
+}
+
 func TestHeatmapShading(t *testing.T) {
 	if shade(0.1) != "░" || shade(0.3) != "▒" || shade(0.5) != "▓" || shade(0.9) != "█" {
 		t.Fatal("shade thresholds wrong")
 	}
 	if shade(math.NaN()) != " " {
 		t.Fatal("NaN shade wrong")
-	}
-}
-
-func TestHeatmapCSV(t *testing.T) {
-	h := NewHeatmap("", []string{"r1"}, []string{"c1", "c2"})
-	h.Values[0][0] = 0.5
-	var buf bytes.Buffer
-	if err := h.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "0.5000") {
-		t.Fatalf("csv = %q", out)
-	}
-	// NaN exports as empty cell.
-	if !strings.Contains(out, "0.5000,\n") {
-		t.Fatalf("NaN cell not empty: %q", out)
 	}
 }
 

@@ -208,13 +208,24 @@ func flow(stack string, cca CCA) (core.Flow, error) {
 // MeasureConformance runs the paper's conformance pipeline for one
 // implementation: the implementation competes against the kernel reference
 // of the same CCA, the reference self-competes, Performance Envelopes are
-// built per §3.2, and the metrics of §3.1/§3.3 are computed.
+// built per §3.2, and the metrics of §3.1/§3.3 are computed. Undefined
+// metrics are an error wrapping the typed cause (pe.ErrDegenerateEnvelope,
+// core.ErrZeroThroughput, a watchdog abort), never a zero report.
 func MeasureConformance(stack string, cca CCA, net Network) (Report, error) {
 	f, err := flow(stack, cca)
 	if err != nil {
 		return Report{}, err
 	}
-	return fromPEReport(core.Conformance(f, net.toCore())), nil
+	return conformance(f, net)
+}
+
+// conformance runs the pipeline for a resolved flow.
+func conformance(f core.Flow, net Network) (Report, error) {
+	rep, err := core.Conformance(f, net.toCore())
+	if err != nil {
+		return Report{}, fmt.Errorf("quicbench: %s %s: %w", f.Stack.Name, f.CCA, err)
+	}
+	return fromPEReport(rep), nil
 }
 
 // Share reports a pairwise bandwidth-share experiment (§4.3).
@@ -228,7 +239,7 @@ type Share struct {
 }
 
 // MeasureFairness runs the §4.3 bandwidth-share experiment between two
-// implementations.
+// implementations. A trial abort, or both flows starved, is an error.
 func MeasureFairness(a, b Impl, net Network) (Share, error) {
 	fa, err := flow(a.Stack, a.CCA)
 	if err != nil {
@@ -238,7 +249,15 @@ func MeasureFairness(a, b Impl, net Network) (Share, error) {
 	if err != nil {
 		return Share{}, err
 	}
-	res := core.BandwidthShare(fa, fb, net.toCore())
+	return share(a, b, fa, fb, net)
+}
+
+// share runs the bandwidth-share experiment for resolved flows.
+func share(a, b Impl, fa, fb core.Flow, net Network) (Share, error) {
+	res, err := core.BandwidthShare(fa, fb, net.toCore())
+	if err != nil {
+		return Share{}, fmt.Errorf("quicbench: share of %s vs %s: %w", a, b, err)
+	}
 	return Share{A: a, B: b, ShareA: res.ShareA, MeanMbps: res.MeanMbps}, nil
 }
 
@@ -281,7 +300,14 @@ func BuildEnvelopes(stack string, cca CCA, net Network) (test, ref Envelope, err
 	if err != nil {
 		return Envelope{}, Envelope{}, err
 	}
-	te, re := core.Envelopes(f, net.toCore())
+	testTrials, refTrials, err := refCache{}.trials(f, kernelFlow(f.CCA), net.toCore())
+	var te, re *pe.Envelope
+	if err == nil {
+		te, re, err = envelopePair(testTrials, refTrials, net.Seed)
+	}
+	if err != nil {
+		return Envelope{}, Envelope{}, fmt.Errorf("quicbench: %s %s: %w", stack, cca, err)
+	}
 	return fromPE(te), fromPE(re), nil
 }
 
@@ -292,8 +318,8 @@ func Fixed(stack string, cca CCA, net Network) (Report, bool, error) {
 	if !ok {
 		return Report{}, false, nil
 	}
-	f := core.Flow{Stack: fixedStack, CCA: stacks.CCA(cca)}
-	return fromPEReport(core.Conformance(f, net.toCore())), true, nil
+	rep, err := conformance(core.Flow{Stack: fixedStack, CCA: stacks.CCA(cca)}, net)
+	return rep, true, err
 }
 
 // DeviationNote returns the modelled deviation documentation for an

@@ -2,9 +2,12 @@ package quicbench
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/pe"
 )
 
 // testNet is a light configuration for API tests.
@@ -67,6 +70,23 @@ func TestMeasureConformanceRuns(t *testing.T) {
 	}
 	if rep.K < 1 {
 		t.Fatalf("K = %d", rep.K)
+	}
+}
+
+// Undefined is not zero: at 15 s x 2 trials the kernel CUBIC reference in
+// a 5 BDP buffer has no envelope with positive area, so msquic CUBIC's
+// conformance is undefined and MeasureConformance says why instead of
+// returning a zero report.
+func TestMeasureConformanceUndefinedIsError(t *testing.T) {
+	net := testNet()
+	net.BufferBDP = 5
+	net.Seed = 1
+	rep, err := MeasureConformance("msquic", CUBIC, net)
+	if !errors.Is(err, pe.ErrDegenerateEnvelope) {
+		t.Fatalf("err = %v, want pe.ErrDegenerateEnvelope", err)
+	}
+	if rep != (Report{}) {
+		t.Fatalf("undefined conformance returned a report: %+v", rep)
 	}
 }
 
