@@ -53,9 +53,11 @@ test-race:
 test-full:
 	$(GO) test -count=1 ./...
 
-## chaos: quick demo of the fault-injection degradation sweep.
+## chaos: conformance under path impairment, as impaired sweep cells —
+## the pristine cell, 0.1% and 1% i.i.d. loss, a ~1% burst channel and a
+## 400 ms blackout at 40% of the run.
 chaos:
-	$(GO) run ./cmd/quicbench chaos -duration 4s -trials 2
+	$(GO) run ./cmd/quicbench sweep -stacks quicgo -ccas cubic -loss 0,0.001,0.01 -burst -blackout 400ms -duration 4s -trials 2
 
 ## sweep-smoke: exercise the supervised runner end to end — the resume
 ## determinism tests under the race detector, then a tiny checkpointed CLI
@@ -129,12 +131,13 @@ dist-smoke:
 obs-smoke:
 	./scripts/obs_smoke.sh
 
-## soak: a short seeded chaos sweep under the race detector with crash
-## isolation on — one cell wedges (reaped by heartbeat stall, classified
-## timeout), one panics (recovered in the child, classified panic), one
-## allocates without bound (killed by the soft memory ceiling's self-check,
-## classified OOM) — while a healthy cell completes. The sweep must finish
-## with exit 1 (classified failures, no crash) and journal every outcome.
+## soak: a short seeded crash-isolation soak — a sweep under the race
+## detector with -isolate on where one cell wedges (reaped by heartbeat
+## stall, classified timeout), one panics (recovered in the child,
+## classified panic), one allocates without bound (killed by the soft
+## memory ceiling's self-check, classified OOM) — while a healthy cell
+## completes. The sweep must finish with exit 1 (classified failures, no
+## crash) and journal every outcome.
 soak:
 	$(GO) build -race -o /tmp/quicbench-soak ./cmd/quicbench
 	@rm -f /tmp/quicbench-soak.jsonl
@@ -143,7 +146,7 @@ soak:
 		-duration 2s -trials 2 -seed 7 -retries 2 -stall-timeout 2s -mem-limit 64 \
 		-obs-addr 127.0.0.1:0 -checkpoint /tmp/quicbench-soak.jsonl; \
 	status=$$?; if [ $$status -ne 1 ]; then \
-		echo "soak: chaos sweep exited $$status, want 1 (classified failures)"; exit 1; fi
+		echo "soak: crash-isolation soak exited $$status, want 1 (classified failures)"; exit 1; fi
 	@grep -q '"outcome":"ok"' /tmp/quicbench-soak.jsonl || { echo "soak: no healthy cell completed"; exit 1; }
 	@grep -q 'heartbeat' /tmp/quicbench-soak.jsonl || { echo "soak: wedge not classified as a heartbeat timeout"; exit 1; }
 	@grep -q 'panic' /tmp/quicbench-soak.jsonl || { echo "soak: injected panic not classified"; exit 1; }

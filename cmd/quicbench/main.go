@@ -7,8 +7,8 @@
 //	quicbench -exp all -scale full      # the whole evaluation, full fidelity
 //	quicbench -exp fig9 -plots out/     # also write SVG plots
 //	quicbench -exp tab3 -duration 60s -trials 3 -seed 7
-//	quicbench chaos -stack quicgo -cca cubic -loss 0,0.001,0.01
 //	quicbench sweep -stacks quicgo,lsquic -ccas cubic -checkpoint run.jsonl
+//	quicbench sweep -stacks quicgo -ccas cubic -loss 0,0.001,0.01 -burst -blackout 400ms
 //	quicbench sweep -checkpoint run.jsonl -resume   # continue after ^C
 //	quicbench sweep -trace traces/ -progress -status status.jsonl
 //	quicbench sweep -listen 127.0.0.1:9777 -min-workers 3 -checkpoint run.jsonl
@@ -19,12 +19,6 @@
 // Quick scale (30 s flows, 2 trials) gives the qualitative shapes in
 // minutes; full scale (120 s, 5 trials) mirrors the paper's methodology
 // and takes on the order of an hour for -exp all.
-//
-// The chaos subcommand sweeps one implementation's conformance across
-// fault-injection levels (i.i.d. loss, burst loss, blackouts) and prints
-// the degradation curve. It exits nonzero when a level produces degenerate
-// data — e.g. a loss rate of 1 starves every trial — with the typed
-// diagnostic from the pipeline instead of a panic.
 //
 // The sweep subcommand runs a supervised conformance sweep over a
 // stack × CCA grid: a bounded worker pool with panic isolation, retry with
@@ -38,6 +32,13 @@
 // memory ceiling (-mem-limit) contains allocation blowouts, and every
 // child death is classified (timeout, OOM, signal, crash) and retried —
 // a hard crash costs one attempt of one cell, never the sweep.
+//
+// Path impairment is one more grid axis: -loss p1,p2,… (i.i.d. loss, 0 is
+// the pristine cell), -burst (a Gilbert–Elliott channel of ~1% mean loss)
+// and -blackout <dur> (a total outage starting at 40% of the run) each add
+// impaired cells, impairing test and reference trials alike. A level whose
+// data is degenerate — a loss rate of 1 starves every trial — fails its
+// cell with the typed diagnostic (use -retries 1: the failure repeats).
 //
 // With -listen the sweep becomes a distributed campaign: the coordinator
 // shards cells across `quicbench worker` processes over TCP, workers
@@ -61,7 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -74,7 +74,6 @@ var subcommands = map[string]func([]string) int{
 	// Hidden trial-child mode: the parent half lives in internal/isolate
 	// and `quicbench sweep -isolate`. Not part of the CLI surface.
 	"_trial":   func([]string) int { return quicbench.TrialChildMain() },
-	"chaos":    chaosMain,
 	"sweep":    sweepMain,
 	"worker":   workerMain,
 	"manyflow": manyflowMain,
@@ -177,83 +176,6 @@ func expMain(args []string) int {
 	}
 	if err := run(e); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return 0
-}
-
-// chaosMain implements the `quicbench chaos` subcommand and returns the
-// process exit code.
-func chaosMain(args []string) int {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	var (
-		stack    = fs.String("stack", "quicgo", "stack under test")
-		cca      = fs.String("cca", "cubic", "congestion control algorithm")
-		bw       = fs.Float64("bw", 20, "bottleneck bandwidth (Mbps)")
-		rtt      = fs.Duration("rtt", 10*time.Millisecond, "base RTT")
-		buffer   = fs.Float64("buffer", 1, "droptail buffer (BDP multiples)")
-		duration = fs.Duration("duration", 10*time.Second, "flow duration")
-		trials   = fs.Int("trials", 2, "trials per level")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		loss     = fs.String("loss", "", "comma-separated i.i.d. loss probabilities (e.g. 0,0.001,0.01); empty = default sweep")
-		burst    = fs.Bool("burst", false, "add a Gilbert-Elliott burst-loss level (~1% mean loss)")
-		blackout = fs.Duration("blackout", 0, "add a blackout level of this duration starting at 40% of the run")
-	)
-	fs.Parse(args)
-
-	net := quicbench.Network{
-		BandwidthMbps: *bw,
-		RTT:           *rtt,
-		BufferBDP:     *buffer,
-		Duration:      *duration,
-		Trials:        *trials,
-		Seed:          *seed,
-	}
-	var levels []quicbench.ChaosLevel
-	if *loss != "" {
-		for _, tok := range strings.Split(*loss, ",") {
-			p, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil || p < 0 || p > 1 {
-				fmt.Fprintf(os.Stderr, "chaos: bad -loss entry %q (want probability in [0,1])\n", tok)
-				return 2
-			}
-			name := fmt.Sprintf("iid-%g%%", p*100)
-			if p == 0 {
-				name = "none"
-			}
-			levels = append(levels, quicbench.ChaosLevel{Name: name, LossProb: p})
-		}
-	}
-	if *burst {
-		levels = append(levels, quicbench.ChaosLevel{Name: "burst-1%", Burst: true})
-	}
-	if *blackout > 0 {
-		levels = append(levels, quicbench.ChaosLevel{
-			Name:             fmt.Sprintf("blackout-%v", *blackout),
-			BlackoutStart:    *duration * 4 / 10,
-			BlackoutDuration: *blackout,
-		})
-	}
-
-	fmt.Printf("chaos sweep: %s %s at %.0fMbps/%v/%.1fBDP, %v x %d trials, seed %d\n",
-		*stack, *cca, *bw, *rtt, *buffer, *duration, *trials, *seed)
-	pts, err := quicbench.MeasureChaos(*stack, quicbench.CCA(*cca), net, levels)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		return 2
-	}
-	fmt.Printf("%-14s %8s %8s %4s\n", "level", "conf", "conf-T", "k")
-	degenerate := 0
-	for _, pt := range pts {
-		if pt.Err != nil {
-			degenerate++
-			fmt.Printf("%-14s degenerate: %v\n", pt.Level, pt.Err)
-			continue
-		}
-		fmt.Printf("%-14s %8.2f %8.2f %4d\n", pt.Level, pt.Conformance, pt.ConformanceT, pt.K)
-	}
-	if degenerate > 0 {
-		fmt.Fprintf(os.Stderr, "chaos: %d of %d levels produced degenerate data\n", degenerate, len(pts))
 		return 1
 	}
 	return 0

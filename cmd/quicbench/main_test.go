@@ -33,15 +33,22 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // unmatched word (a typo, or the retired `bench`/`perf`) fell through to the
 // experiment flag set, printed the experiment list and exited 0. The retired
 // live backend's subcommand and sweep flag are unknown words too, as are the
-// retired -audit and -pprof sweep flags. A bad flag or -scale for the
-// experiment catalog exits 2 before any experiment runs.
+// retired -audit and -pprof sweep flags and the retired chaos subcommand
+// (its levels are sweep's -loss/-burst/-blackout). A bad flag exits 2 from
+// every subcommand, in-process, as does a bad flag or -scale for the
+// experiment catalog before any experiment runs.
 func TestDispatch(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
 		code   int
 		stderr string
 	}{
-		{[]string{"chaos", "-loss", "abc"}, 2, `chaos: bad -loss entry "abc"`},
+		{[]string{"chaos", "-loss", "abc"}, 2, `quicbench: unknown subcommand "chaos"`},
+		{[]string{"sweep", "-loss", "abc"}, 2, `sweep: bad -loss entry "abc"`},
+		{[]string{"sweep", "-loss", "1.5"}, 2, `sweep: bad -loss entry "1.5"`},
+		{[]string{"manyflow", "-bw", "x"}, 2, `invalid value "x" for flag -bw`},
+		{[]string{"worker", "-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"trace", "-cwnd", "x"}, 2, `invalid value "x" for flag -cwnd`},
 		{[]string{"sweeep"}, 2, `quicbench: unknown subcommand "sweeep"`},
 		{[]string{"bench"}, 2, `quicbench: unknown subcommand "bench"`},
 		{[]string{"perf", "-trajectory", "x"}, 2, `quicbench: unknown subcommand "perf"`},

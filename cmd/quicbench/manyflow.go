@@ -32,7 +32,7 @@ func readTrafficSpec(arg string) ([]byte, error) {
 // — evaluated through the same supervised cell pipeline the sweep uses.
 // Exit codes follow sweepMain: 0 ok, 1 cell failed, 2 usage.
 func manyflowMain(args []string) int {
-	fs := flag.NewFlagSet("manyflow", flag.ExitOnError)
+	fs := flag.NewFlagSet("manyflow", flag.ContinueOnError)
 	var (
 		specArg  = fs.String("spec", "default", "traffic-spec JSON file, or 'default' for the built-in mix")
 		printDef = fs.Bool("print-spec", false, "print the built-in traffic spec JSON and exit (a template for custom specs)")
@@ -45,7 +45,13 @@ func manyflowMain(args []string) int {
 		traceDir = fs.String("trace", "", "write per-trial qlog JSONL traces under this directory")
 		jsonOut  = fs.Bool("json", false, "emit the cell report as JSON instead of tables")
 	)
-	fs.Parse(args)
+	// As in sweep: 0 for -h, 2 for a bad or undefined flag.
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *printDef {
 		os.Stdout.Write(quicbench.DefaultTrafficSpec())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -58,6 +59,9 @@ func sweepMain(args []string) int {
 		workersFile = fs.String("workers-file", "", "with -listen, admit only workers named in this file (one host:port or name per line, # comments)")
 		authToken   = fs.String("auth-token", "", "with -listen, require workers to prove this shared secret in their handshake")
 		manyflow    = fs.String("manyflow", "", "run many-flow traffic cells instead of the two-flow grid: a traffic-spec JSON file, or 'default' for the built-in mix")
+		loss        = fs.String("loss", "", "comma-separated i.i.d. loss probabilities, one cell each per grid point (0 = the pristine cell)")
+		burst       = fs.Bool("burst", false, "add a Gilbert-Elliott burst-loss cell (~1% mean loss) per grid point")
+		blackout    = fs.Duration("blackout", 0, "add a cell per grid point with a blackout of this duration starting at 40% of the run")
 	)
 	// Parse errors return the exit codes flag.ExitOnError would use (0 for
 	// -h, 2 for a bad or undefined flag) instead of exiting, so dispatch
@@ -89,6 +93,21 @@ func sweepMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "sweep: -obs-wait requires -obs-addr")
 		return 2
 	}
+	var imps []quicbench.Impairment
+	for _, tok := range splitList(*loss) {
+		p, perr := strconv.ParseFloat(tok, 64)
+		if perr != nil || !(p >= 0 && p <= 1) {
+			fmt.Fprintf(os.Stderr, "sweep: bad -loss entry %q (want probability in [0,1])\n", tok)
+			return 2
+		}
+		imps = append(imps, quicbench.Impairment{LossProb: p})
+	}
+	if *burst {
+		imps = append(imps, quicbench.Impairment{Burst: true})
+	}
+	if *blackout > 0 {
+		imps = append(imps, quicbench.Impairment{BlackoutStart: *duration * 4 / 10, BlackoutDuration: *blackout})
+	}
 	// SIGQUIT (^\) dumps goroutine/heap profiles instead of killing the
 	// sweep — the standing diagnostic for wedged soaks.
 	defer installSIGQUIT()()
@@ -117,6 +136,7 @@ func sweepMain(args []string) int {
 		TracePackets:        *tracePkts,
 		StatusPath:          *statusPath,
 		StatusInterval:      *statusIntv,
+		Impairments:         imps,
 		Networks: []quicbench.Network{{
 			BandwidthMbps: *bw,
 			RTT:           *rtt,

@@ -21,13 +21,19 @@ import (
 //	quicbench trace -summary run-traces/        # one-line rollup per trial
 //	quicbench trace -cwnd 1 cell/test0.qlog.jsonl  # time,cwnd CSV for flow 1
 func traceMain(args []string) int {
-	fs2 := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs2 := flag.NewFlagSet("trace", flag.ContinueOnError)
 	var (
 		check   = fs2.Bool("check", false, "validate every trace file and exit nonzero on corruption")
 		summary = fs2.Bool("summary", false, "one line per trial: events, cwnd min/mean/max, losses, PTOs")
 		cwnd    = fs2.Int("cwnd", 0, "emit time_s,cwnd_bytes CSV for this flow (1 or 2) to stdout")
 	)
-	fs2.Parse(args)
+	// As in sweep: 0 for -h, 2 for a bad or undefined flag.
+	if err := fs2.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if fs2.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "trace: need trace files or directories (of *.qlog.jsonl)")
 		return 2

@@ -23,7 +23,7 @@ import (
 // their results, unstarted assignments are handed back, and the process
 // exits 128+signal (130/143). A campaign-complete bye exits 0.
 func workerMain(args []string) int {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	var (
 		connect  = fs.String("connect", "", "coordinator TCP address (required; see `quicbench sweep -listen`)")
 		name     = fs.String("name", "", "worker name in fleet telemetry (default worker-<pid>)")
@@ -33,7 +33,13 @@ func workerMain(args []string) int {
 		obsAddr  = fs.String("obs-addr", "", "serve this worker's observability plane (/metrics, /statusz, /healthz, /debug/pprof) on this address")
 		quiet    = fs.Bool("q", false, "suppress connection lifecycle logs")
 	)
-	fs.Parse(args)
+	// As in sweep: 0 for -h, 2 for a bad or undefined flag.
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "worker: -connect is required")

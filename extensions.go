@@ -1,12 +1,8 @@
 package quicbench
 
 // The paper's §6 sketches several extensions to the methodology. This file
-// implements four of them as additional, non-paper experiments (a fifth,
-// the fault-injection chaos sweep, lives in experiments_chaos.go):
+// implements three of them as additional, non-paper experiments:
 //
-//   - ext-stagger:     bandwidth-share analysis with staggered flow start
-//                      times ("the impact of different start times ... on
-//                      fairness");
 //   - ext-appselect:   using the Performance Envelope to pick a CCA for an
 //                      application's desired operating region ("extending
 //                      the PE to other applications");
@@ -25,17 +21,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pe"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/stacks"
 )
 
 // extensionsList holds the §6 extension experiments.
 var extensionsList = []Experiment{
-	{"ext-stagger", "§6 extension: fairness under staggered flow start times", runExtStagger},
 	{"ext-appselect", "§6 extension: PE-guided CCA selection for applications", runExtAppSelect},
 	{"ext-transitivity", "§6 extension: transitivity of pairwise throughput dominance", runExtTransitivity},
 	{"ext-background", "§6 extension: all implementations vs one common background flow", runExtBackground},
-	{"chaos", "extension: conformance degradation under path impairment (internal/faults)", runChaos},
 }
 
 // Extensions returns the §6 extension experiments.
@@ -46,55 +39,6 @@ func Extensions() []Experiment {
 func init() {
 	// Extensions are addressable through the normal catalog lookup too.
 	experimentsList = append(experimentsList, extensionsList...)
-}
-
-// StaggeredShare runs a two-flow experiment where flow B starts `delay`
-// after flow A and (optionally) A stops early, measuring B's share of the
-// overlap window. Exposed as public API for §6-style studies.
-func StaggeredShare(a, b Impl, net Network, delay time.Duration) (Share, error) {
-	fa, err := flow(a.Stack, a.CCA)
-	if err != nil {
-		return Share{}, err
-	}
-	fb, err := flow(b.Stack, b.CCA)
-	if err != nil {
-		return Share{}, err
-	}
-	n := net.toCore()
-	res := core.RunStaggeredTrial(fa, fb, n, sim.Duration(delay), 0)
-	share := 0.5
-	if s := res.MeanMbps[0] + res.MeanMbps[1]; s > 0 {
-		share = res.MeanMbps[0] / s
-	}
-	return Share{A: a, B: b, ShareA: share, MeanMbps: res.MeanMbps}, nil
-}
-
-// runExtStagger sweeps the start offset of a second kernel CUBIC flow
-// against an established first flow and reports the late flow's share:
-// late entrants fight an occupied queue.
-func runExtStagger(cfg ExpConfig) error {
-	cfg = cfg.withDefaults()
-	n := cfg.net(20, 50*time.Millisecond, 1, false)
-	tbl := &report.Table{Header: []string{"start offset", "early flow share", "late flow share"}}
-	fa := core.Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	for _, delay := range []time.Duration{0, time.Second, 5 * time.Second, 15 * time.Second} {
-		var sumA, sumB float64
-		for t := 0; t < n.Trials; t++ {
-			res := core.RunStaggeredTrial(fa, fa, n, sim.Duration(delay), t)
-			sumA += res.MeanMbps[0]
-			sumB += res.MeanMbps[1]
-		}
-		total := sumA + sumB
-		if total == 0 {
-			continue
-		}
-		tbl.AddRow(delay.String(), sumA/total, sumB/total)
-	}
-	if err := tbl.Render(cfg.Out); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(cfg.Out, "expected shape: the measured window covers both flows' overlap; larger offsets\nleave the late flow fighting an occupied queue, skewing shares toward the early flow")
-	return err
 }
 
 // DesiredRegion describes an application's acceptable operating region on

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stacks"
@@ -40,15 +39,26 @@ func newReno() cc.Controller  { return cc.NewReno(cc.Config{MSS: 1200}) }
 func newCubic() cc.Controller { return cc.NewCubic(cc.Config{MSS: 1200, HyStart: true}) }
 func newBBR() cc.Controller   { return cc.NewBBR(cc.Config{MSS: 1200}) }
 
+// newDumbbell builds a dumbbell through netem.NewDumbbellE, failing the
+// test on a configuration error.
+func newDumbbell(t testing.TB, eng *sim.Engine, cfg netem.DumbbellConfig) *netem.Dumbbell {
+	t.Helper()
+	db, err := netem.NewDumbbellE(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // singleFlowTraced runs one sender/receiver pair over a dumbbell for 5 s
 // and returns the events fired. This is the tightest loop the repo has: sim
 // engine, link queueing, transport bookkeeping, and one congestion
 // controller, with nothing from the measurement pipeline on top. tr == nil
 // exercises exactly the nil-check fast path every production trial without
 // -trace takes.
-func singleFlowTraced(newCtrl func() cc.Controller, tr telemetry.Tracer) uint64 {
+func singleFlowTraced(t testing.TB, newCtrl func() cc.Controller, tr telemetry.Tracer) uint64 {
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond),
@@ -112,13 +122,13 @@ func TestWorkMetrics(t *testing.T) {
 		allocs uint64 // measured at this table's last update; the ceiling is 10% above
 		run    func() uint64
 	}{
-		{"single_flow_reno", 27438, 161, func() uint64 { return singleFlowTraced(newReno, nil) }},
-		{"single_flow_cubic", 31176, 261, func() uint64 { return singleFlowTraced(newCubic, nil) }},
-		{"single_flow_bbr", 35053, 248, func() uint64 { return singleFlowTraced(newBBR, nil) }},
+		{"single_flow_reno", 27438, 161, func() uint64 { return singleFlowTraced(t, newReno, nil) }},
+		{"single_flow_cubic", 31176, 261, func() uint64 { return singleFlowTraced(t, newCubic, nil) }},
+		{"single_flow_bbr", 35053, 248, func() uint64 { return singleFlowTraced(t, newBBR, nil) }},
 		// The full tracing cost: every hook live, JSONL-encoded, and
 		// discarded. Sets the price of -trace next to its untraced twin.
 		{"single_flow_cubic_traced", 31176, 265, func() uint64 {
-			return singleFlowTraced(newCubic, telemetry.NewJSONL(io.Discard))
+			return singleFlowTraced(t, newCubic, telemetry.NewJSONL(io.Discard))
 		}},
 		{"two_flow_trial_cubic", 27664, 417, func() uint64 {
 			res, err := core.RunTrialE(core.Spec("quicgo", stacks.CUBIC), core.Spec("kernel", stacks.CUBIC), benchNet(1), 0)
@@ -130,9 +140,7 @@ func TestWorkMetrics(t *testing.T) {
 		// One fault-injected trial: Gilbert–Elliott burst loss on the data
 		// path exercises the injector and the spurious-loss paths.
 		{"chaos_trial_gilbert", 28271, 407, func() uint64 {
-			imp := core.Impairment{Loss: func() (faults.LossModel, error) {
-				return faults.NewGilbertElliott(0.002, 0.3, 0, 0.5)
-			}}
+			imp := core.Impairment{Burst: &core.GilbertElliott{PGoodBad: 0.002, PBadGood: 0.3, LossBad: 0.5}}
 			res, err := core.RunTrialImpaired(core.Spec("quicgo", stacks.CUBIC), core.Spec("kernel", stacks.CUBIC), benchNet(3), 0, imp)
 			if err != nil {
 				t.Fatal(err)
@@ -226,8 +234,8 @@ func TestDisabledTracerOverhead(t *testing.T) {
 		{"single_flow_bbr", newBBR},
 	} {
 		sides := [2]func() uint64{
-			func() uint64 { return singleFlowTraced(c.ctrl, nil) },
-			func() uint64 { return singleFlowTraced(c.ctrl, noopTracer{}) },
+			func() uint64 { return singleFlowTraced(t, c.ctrl, nil) },
+			func() uint64 { return singleFlowTraced(t, c.ctrl, noopTracer{}) },
 		}
 		var allocs [2][]float64
 		for round := 0; round <= abRounds; round++ {
@@ -259,8 +267,8 @@ func TestTracedBenchmarkRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real 5s-virtual-time trials; skipped in -short")
 	}
-	te := singleFlowTraced(newCubic, telemetry.NewJSONL(io.Discard))
-	ue := singleFlowTraced(newCubic, nil)
+	te := singleFlowTraced(t, newCubic, telemetry.NewJSONL(io.Discard))
+	ue := singleFlowTraced(t, newCubic, nil)
 	if te != ue {
 		t.Errorf("traced trial fired %d events, untraced %d — tracing must not perturb the schedule", te, ue)
 	}

@@ -273,7 +273,7 @@ func runTrial(a, b Flow, n Network, trial int, imp *Impairment, bounds Bounds, t
 	// — and therefore every published number — unchanged.
 	dataPath := netem.Handler(db.Bottleneck)
 	if imp.enabled() {
-		inj, ierr := imp.install(eng, rng, db, baseRTT)
+		inj, ierr := imp.install(eng, rng, db.Bottleneck)
 		if ierr != nil {
 			return res, fmt.Errorf("core: trial %d fault layer: %w", trial, ierr)
 		}

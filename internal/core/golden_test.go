@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/stacks"
@@ -140,9 +139,7 @@ func TestGoldenConformance(t *testing.T) {
 func TestGoldenImpairedTrial(t *testing.T) {
 	n := goldenNetwork()
 	res, err := RunTrialImpaired(Spec("quicgo", stacks.CUBIC), Spec("kernel", stacks.CUBIC), n, 0,
-		Impairment{Loss: func() (faults.LossModel, error) {
-			return faults.IIDLoss{P: 0.005}, nil
-		}})
+		Impairment{LossProb: 0.005})
 	if err != nil {
 		t.Fatalf("golden impaired trial failed: %v", err)
 	}

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stacks"
 )
@@ -22,9 +27,7 @@ func chaosNet(seed uint64) Network {
 	}
 }
 
-func allLossy() Impairment {
-	return Impairment{Loss: func() (faults.LossModel, error) { return faults.IIDLoss{P: 1}, nil }}
-}
+func allLossy() Impairment { return Impairment{LossProb: 1} }
 
 // TestAllLossyTrialReturnsTypedError is the headline regression: a trial
 // where every data packet is lost must surface ErrZeroThroughput through
@@ -72,27 +75,137 @@ func TestConformanceImpairedAllLossyError(t *testing.T) {
 	}
 }
 
-// TestChaosConformanceRecordsDegenerateLevels: a sweep containing a
-// degenerate level records the typed error on that point and keeps going.
+// TestChaosConformanceRecordsDegenerateLevels: a sweep over impairment
+// levels fails the degenerate cell with its typed error and keeps the
+// pristine cell healthy.
 func TestChaosConformanceRecordsDegenerateLevels(t *testing.T) {
-	n := chaosNet(7)
-	fl := Spec("quicgo", stacks.CUBIC)
-	levels := []ChaosLevel{
-		{Name: "none"},
-		{Name: "all-lossy", Impair: allLossy()},
+	lossy := allLossy()
+	cells := []SweepCell{
+		{Stack: "quicgo", CCA: stacks.CUBIC, Net: chaosNet(7)},
+		{Stack: "quicgo", CCA: stacks.CUBIC, Net: chaosNet(7), Impair: &lossy},
 	}
-	pts := ChaosConformance(fl, n, levels)
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
+	res, err := RunSweep(context.Background(), SweepConfig{Config: runner.Config{MaxAttempts: 1}}, cells)
+	if err != nil {
+		t.Fatalf("RunSweep: %v", err)
 	}
-	if pts[0].Err != nil {
-		t.Errorf("pristine level failed: %v", pts[0].Err)
+	if len(res.Records) != 2 {
+		t.Fatalf("got %d records, want 2", len(res.Records))
 	}
-	if c := pts[0].Report.Conformance; c < 0 || c > 1 {
+	pristine, lossyRec := res.Records[0], res.Records[1]
+	if pristine.Outcome != runner.OutcomeOK {
+		t.Fatalf("pristine cell: outcome %s (%s)", pristine.Outcome, pristine.Err)
+	}
+	var rep CellReport
+	if err := json.Unmarshal(pristine.Result, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Conformance; c < 0 || c > 1 {
 		t.Errorf("pristine conformance %v outside [0,1]", c)
 	}
-	if !errors.Is(pts[1].Err, ErrZeroThroughput) {
-		t.Errorf("all-lossy level err = %v, want ErrZeroThroughput", pts[1].Err)
+	if lossyRec.Outcome != runner.OutcomeFailed || !strings.Contains(lossyRec.Err, ErrZeroThroughput.Error()) {
+		t.Errorf("all-lossy cell: outcome %s err %q, want failed with ErrZeroThroughput", lossyRec.Outcome, lossyRec.Err)
+	}
+}
+
+// TestImpairedCellKey: every distinct impairment is a distinct journal key
+// with a readable suffix, a nil or zero impairment leaves the pristine key
+// (and spec JSON) untouched, and CellTrialSpec carries the impairment
+// through a JSON round trip.
+func TestImpairedCellKey(t *testing.T) {
+	base := SweepCell{Stack: "quicgo", CCA: stacks.CUBIC, Net: chaosNet(7)}
+	const pristine = "quicgo/cubic/20Mbps/10ms/1.0BDP/3.000000s/x2/seed7"
+	with := func(imp Impairment) SweepCell { c := base; c.Impair = &imp; return c }
+	if k := base.Key(); k != pristine {
+		t.Fatalf("pristine key %q, want %q", k, pristine)
+	}
+	if k := with(Impairment{}).Key(); k != pristine {
+		t.Errorf("zero impairment key %q, want the pristine %q", k, pristine)
+	}
+	if js, _ := json.Marshal(base); strings.Contains(string(js), "Impair") {
+		t.Errorf("pristine cell JSON %s names an impairment", js)
+	}
+
+	blackout := Impairment{Blackouts: []faults.Window{{From: 1600 * sim.Millisecond, To: 2 * sim.Second}}}
+	custom := DefaultBurst
+	custom.LossBad = 1
+	seen := map[string]bool{}
+	for _, c := range []struct {
+		imp    Impairment
+		suffix string
+	}{
+		{Impairment{LossProb: 0.001}, "/loss0.001"},
+		{Impairment{LossProb: 0.01}, "/loss0.01"},
+		{Impairment{Burst: &DefaultBurst}, "/burst"},
+		{Impairment{Burst: &custom}, "/burst0.0008,0.04,0,1"},
+		{Impairment{DupProb: 0.01}, "/dup0.01"},
+		{Impairment{CorruptProb: 0.01}, "/corrupt0.01"},
+		{blackout, "/blackout1.6s+400ms"},
+		{Impairment{Blackouts: []faults.Window{{From: 1600 * sim.Millisecond, To: 2100 * sim.Millisecond}}}, "/blackout1.6s+500ms"},
+	} {
+		k := with(c.imp).Key()
+		if k != pristine+c.suffix {
+			t.Errorf("key %q, want %q", k, pristine+c.suffix)
+		}
+		if seen[k] {
+			t.Errorf("duplicate key %q", k)
+		}
+		seen[k] = true
+	}
+
+	full := Impairment{LossProb: 0.01, Burst: &DefaultBurst, DupProb: 0.02, CorruptProb: 0.03, Blackouts: blackout.Blackouts}
+	spec := CellTrialSpec{Cell: with(full)}
+	js, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back CellTrialSpec
+	if err := json.Unmarshal(js, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, spec) || back.Cell.Key() != spec.Cell.Key() {
+		t.Errorf("CellTrialSpec round trip lost the impairment:\nsent %+v\ngot  %+v", spec.Cell.Impair, back.Cell.Impair)
+	}
+}
+
+// TestImpairedCellMatchesConformanceImpaired: an impaired sweep cell
+// reports exactly what ConformanceImpaired measures on the same impairment.
+func TestImpairedCellMatchesConformanceImpaired(t *testing.T) {
+	n := chaosNet(7)
+	imp := Impairment{Burst: &DefaultBurst}
+	got, err := runCell(context.Background(), SweepCell{Stack: "quicgo", CCA: stacks.CUBIC, Net: n, Impair: &imp}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ConformanceImpaired(Spec("quicgo", stacks.CUBIC), n, imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CellReport{
+		Conformance:         r.Conformance,
+		ConformanceOld:      r.ConformanceOld,
+		ConformanceT:        r.ConformanceT,
+		DeltaThroughputMbps: r.DeltaThroughputMbps,
+		DeltaDelayMs:        r.DeltaDelayMs,
+		K:                   r.K,
+	}
+	if got != want {
+		t.Errorf("impaired cell %+v, ConformanceImpaired %+v", got, want)
+	}
+}
+
+// TestImpairmentBadParameter: an out-of-range loss parameter is the
+// trial's typed "core: loss model:" error, not a panic or a silent number.
+func TestImpairmentBadParameter(t *testing.T) {
+	n := chaosNet(7)
+	a := Spec("quicgo", stacks.CUBIC)
+	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
+	for _, imp := range []Impairment{
+		{LossProb: 1.5},
+		{Burst: &GilbertElliott{PGoodBad: 2}},
+	} {
+		if _, err := RunTrialImpaired(a, b, n, 0, imp); err == nil || !strings.Contains(err.Error(), "core: loss model:") {
+			t.Errorf("%+v: err = %v, want a core: loss model: error", imp, err)
+		}
 	}
 }
 
@@ -103,7 +216,7 @@ func TestImpairedTrialDeterministic(t *testing.T) {
 	n := chaosNet(7)
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	imp := Impairment{Loss: func() (faults.LossModel, error) { return faults.IIDLoss{P: 0.01}, nil }}
+	imp := Impairment{LossProb: 0.01}
 	r1, err1 := RunTrialImpaired(a, b, n, 0, imp)
 	r2, err2 := RunTrialImpaired(a, b, n, 0, imp)
 	if err1 != nil || err2 != nil {
@@ -155,7 +268,7 @@ func TestChaosSeedSweepSmoke(t *testing.T) {
 		t.Skip("seed sweep is slow; skipped with -short")
 	}
 	fl := Spec("quicgo", stacks.CUBIC)
-	imp := Impairment{Loss: func() (faults.LossModel, error) { return faults.IIDLoss{P: 0.001}, nil }}
+	imp := Impairment{LossProb: 0.001}
 	seeds := []uint64{1, 2, 3, 4, 5}
 	confs := make([]float64, 0, len(seeds))
 	for _, seed := range seeds {

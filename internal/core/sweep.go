@@ -25,6 +25,10 @@ type SweepCell struct {
 	// cohort (Stack/CCA then serve only as display labels). Nil keeps the
 	// classic two-flow conformance cell.
 	Traffic *traffic.Spec `json:"Traffic,omitempty"`
+	// Impair, when non-nil, applies the same path impairment to every
+	// trial of the cell, test and reference alike. Nil is the pristine
+	// testbed.
+	Impair *Impairment `json:",omitempty"`
 }
 
 // Key returns the cell's stable identity — the checkpoint-journal key that
@@ -47,7 +51,7 @@ func (c SweepCell) Key() string {
 		}
 		key += fmt.Sprintf("/mf%016x", h)
 	}
-	return key
+	return key + c.Impair.key()
 }
 
 // CellReport is the JSON-stable result payload journaled per cell: the full
@@ -116,7 +120,7 @@ func runCell(ctx context.Context, c SweepCell, deadline sim.Time, topts *TraceOp
 	if err != nil {
 		return CellReport{}, err
 	}
-	r, err := conformanceImpaired(fl, c.Net, nil, Bounds{Ctx: ctx, Deadline: deadline}, ct)
+	r, err := conformanceImpaired(fl, c.Net, c.Impair, Bounds{Ctx: ctx, Deadline: deadline}, ct)
 	if err != nil {
 		return CellReport{}, err
 	}

@@ -2,7 +2,7 @@
 // emulator. It gives internal/netem topologies the impairment vocabulary of
 // tc-netem / pumba — i.i.d. and bursty (Gilbert–Elliott) loss, duplication,
 // corruption, blackouts — plus a Scenario timeline for timed events
-// (link flaps, mid-flow bandwidth/RTT/queue renegotiation) and a watchdog
+// (blackout windows) and a watchdog
 // that aborts runaway or wedged simulations with a diagnostic.
 //
 // Everything is driven by an explicit stats.RNG and the internal/sim
@@ -205,8 +205,7 @@ func NewInjector(eng *sim.Engine, cfg Config, dst netem.Handler) (*Injector, err
 func (in *Injector) Tap(fn func(Event)) { in.taps = append(in.taps, fn) }
 
 // SetDown switches the blackout state: while down, every packet is
-// blackholed. Scenario.Blackout and Scenario.Flap drive this on the
-// virtual clock.
+// blackholed. Scenario.Blackout drives this on the virtual clock.
 func (in *Injector) SetDown(down bool) { in.down = down }
 
 // Down reports the blackout state.

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 
-	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -20,9 +19,8 @@ type Step struct {
 }
 
 // Scenario is a validated timeline of impairment events on the virtual
-// clock — the emulator's equivalent of a pumba/tc-netem command sequence:
-// blackout and flap windows, mid-flow rate and delay renegotiation, queue
-// resizing. Builder methods accumulate steps and record the first
+// clock — the emulator's equivalent of a pumba/tc-netem command sequence,
+// such as blackout windows. Builder methods accumulate steps and record the first
 // validation error; Install schedules everything on an engine and reports
 // that error, so a malformed timeline never half-applies.
 type Scenario struct {
@@ -70,66 +68,6 @@ func (s *Scenario) Blackout(in *Injector, w Window) *Scenario {
 	s.At(w.From, fmt.Sprintf("blackout start @%v", w.From), func() { in.SetDown(true) })
 	s.At(w.To, fmt.Sprintf("blackout end @%v", w.To), func() { in.SetDown(false) })
 	return s
-}
-
-// Flap alternates the injector down/up across [from, to): down for downFor,
-// up for upFor, repeating — a flapping link. The link is left up at `to`.
-func (s *Scenario) Flap(in *Injector, w Window, downFor, upFor sim.Time) *Scenario {
-	if in == nil {
-		return s.fail("faults: Flap with nil injector")
-	}
-	if w.From < 0 || w.To <= w.From {
-		return s.fail("faults: Flap window [%v, %v) is not a positive interval", w.From, w.To)
-	}
-	if downFor <= 0 || upFor < 0 {
-		return s.fail("faults: Flap requires downFor > 0 and upFor >= 0, got %v/%v", downFor, upFor)
-	}
-	for t := w.From; t < w.To; t += downFor + upFor {
-		end := t + downFor
-		if end > w.To {
-			end = w.To
-		}
-		s.Blackout(in, Window{From: t, To: end})
-		if s.err != nil {
-			return s
-		}
-	}
-	return s
-}
-
-// SetRate renegotiates a link's serialization rate at virtual time at.
-func (s *Scenario) SetRate(l *netem.Link, at sim.Time, rateBps float64) *Scenario {
-	if l == nil {
-		return s.fail("faults: SetRate with nil link")
-	}
-	if rateBps <= 0 {
-		return s.fail("faults: SetRate to non-positive rate %g bps", rateBps)
-	}
-	return s.At(at, fmt.Sprintf("rate -> %.0f bps @%v", rateBps, at), func() { l.SetRateBps(rateBps) })
-}
-
-// SetPropagation renegotiates a link's one-way propagation delay at
-// virtual time at (mid-flow RTT change).
-func (s *Scenario) SetPropagation(l *netem.Link, at sim.Time, d sim.Time) *Scenario {
-	if l == nil {
-		return s.fail("faults: SetPropagation with nil link")
-	}
-	if d < 0 {
-		return s.fail("faults: SetPropagation to negative delay %v", d)
-	}
-	return s.At(at, fmt.Sprintf("propagation -> %v @%v", d, at), func() { l.SetPropagation(d) })
-}
-
-// SetQueueCapacity resizes a link's droptail queue at virtual time at
-// (0 = unlimited).
-func (s *Scenario) SetQueueCapacity(l *netem.Link, at sim.Time, bytes int) *Scenario {
-	if l == nil {
-		return s.fail("faults: SetQueueCapacity with nil link")
-	}
-	if bytes < 0 {
-		return s.fail("faults: SetQueueCapacity to negative capacity %d", bytes)
-	}
-	return s.At(at, fmt.Sprintf("queue -> %dB @%v", bytes, at), func() { l.SetQueueCapacity(bytes) })
 }
 
 // Install schedules the whole timeline on eng. It refuses to schedule

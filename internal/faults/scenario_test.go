@@ -86,8 +86,9 @@ func TestScenarioBlackoutGap(t *testing.T) {
 	}
 }
 
-// TestScenarioFlapPattern checks that Flap carves the expected repeating
-// down/up windows out of [0, 300ms).
+// TestScenarioFlapPattern: a flapping link is a run of blackout windows on
+// one timeline (as in a multi-window Impairment); three Blackouts carve the
+// expected repeating down/up pattern out of [0, 300ms).
 func TestScenarioFlapPattern(t *testing.T) {
 	eng := sim.New()
 	dst := &timedCollector{eng: eng}
@@ -102,8 +103,10 @@ func TestScenarioFlapPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, up := 50*sim.Millisecond, 50*sim.Millisecond
-	sc := NewScenario().Flap(in, Window{From: 0, To: 300 * sim.Millisecond}, down, up)
+	sc := NewScenario()
+	for from := sim.Time(0); from < 300*sim.Millisecond; from += 100 * sim.Millisecond {
+		sc.Blackout(in, Window{From: from, To: from + 50*sim.Millisecond})
+	}
 	if err := sc.Install(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -135,105 +138,6 @@ func TestScenarioFlapPattern(t *testing.T) {
 	}
 }
 
-// TestScenarioRateChangeSerialization pins the mid-flow rate renegotiation
-// semantics: a packet already accepted keeps its old serialization timing;
-// packets arriving after the change serialize at the new rate.
-func TestScenarioRateChangeSerialization(t *testing.T) {
-	eng := sim.New()
-	dst := &timedCollector{eng: eng}
-	// 1 Mbps, no propagation: a 1250-byte packet serializes in exactly 10ms.
-	link, err := netem.NewLinkE(eng, netem.LinkConfig{RateBps: 1e6}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScenario().SetRate(link, 15*sim.Millisecond, 2e6)
-	if err := sc.Install(eng); err != nil {
-		t.Fatal(err)
-	}
-	send := func(at sim.Time, seq int64) {
-		eng.At(at, func() { link.HandlePacket(&netem.Packet{Seq: seq, Size: 1250}) })
-	}
-	send(0, 0)                  // old rate: delivered at 10ms
-	send(5*sim.Millisecond, 1)  // queued behind 0, serialized 10-20ms at the old rate
-	send(20*sim.Millisecond, 2) // new rate (2 Mbps): 5ms, delivered at 25ms
-	eng.Run()
-
-	want := []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond, 25 * sim.Millisecond}
-	if len(dst.times) != len(want) {
-		t.Fatalf("delivered %d packets, want %d", len(dst.times), len(want))
-	}
-	for i, at := range dst.times {
-		if at != want[i] {
-			t.Errorf("packet %d delivered at %v, want %v", dst.seqs[i], at, want[i])
-		}
-	}
-}
-
-// TestScenarioPropagationChange: an RTT renegotiation applies to packets
-// serialized after the step.
-func TestScenarioPropagationChange(t *testing.T) {
-	eng := sim.New()
-	dst := &timedCollector{eng: eng}
-	link, err := netem.NewLinkE(eng, netem.LinkConfig{
-		RateBps:     1e9, // serialization negligible (10us per 1250B)
-		Propagation: sim.Millisecond,
-	}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScenario().SetPropagation(link, 50*sim.Millisecond, 5*sim.Millisecond)
-	if err := sc.Install(eng); err != nil {
-		t.Fatal(err)
-	}
-	send := func(at sim.Time, seq int64) {
-		eng.At(at, func() { link.HandlePacket(&netem.Packet{Seq: seq, Size: 1250}) })
-	}
-	send(0, 0)
-	send(100*sim.Millisecond, 1)
-	eng.Run()
-
-	serial := sim.Time(10 * sim.Microsecond)
-	want := []sim.Time{serial + sim.Millisecond, 100*sim.Millisecond + serial + 5*sim.Millisecond}
-	if len(dst.times) != 2 {
-		t.Fatalf("delivered %d packets, want 2", len(dst.times))
-	}
-	for i, at := range dst.times {
-		if at != want[i] {
-			t.Errorf("packet %d delivered at %v, want %v", dst.seqs[i], at, want[i])
-		}
-	}
-}
-
-// TestScenarioQueueShrink: shrinking the droptail capacity mid-run causes
-// arrival drops while the standing queue exceeds the new capacity.
-func TestScenarioQueueShrink(t *testing.T) {
-	eng := sim.New()
-	dst := &timedCollector{eng: eng}
-	// Slow link: 10ms per packet keeps the queue standing.
-	link, err := netem.NewLinkE(eng, netem.LinkConfig{RateBps: 1e6}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScenario().SetQueueCapacity(link, sim.Millisecond, 1300)
-	if err := sc.Install(eng); err != nil {
-		t.Fatal(err)
-	}
-	send := func(at sim.Time, seq int64) {
-		eng.At(at, func() { link.HandlePacket(&netem.Packet{Seq: seq, Size: 1250}) })
-	}
-	send(0, 0)
-	send(0, 1)
-	send(0, 2)                 // 3750B standing queue, accepted (capacity was unlimited)
-	send(2*sim.Millisecond, 3) // queue still 3750B > 1300B: dropped
-	eng.Run()
-	if link.Dropped != 1 {
-		t.Errorf("link.Dropped = %d, want 1", link.Dropped)
-	}
-	if len(dst.seqs) != 3 {
-		t.Errorf("delivered %d packets, want 3", len(dst.seqs))
-	}
-}
-
 func TestScenarioValidation(t *testing.T) {
 	eng := sim.New()
 	dst := &timedCollector{eng: eng}
@@ -248,12 +152,6 @@ func TestScenarioValidation(t *testing.T) {
 		{"nil action", NewScenario().At(0, "x", nil)},
 		{"nil injector blackout", NewScenario().Blackout(nil, Window{From: 0, To: 1})},
 		{"empty blackout window", NewScenario().Blackout(in, Window{From: 5, To: 5})},
-		{"inverted flap window", NewScenario().Flap(in, Window{From: 10, To: 5}, 1, 1)},
-		{"zero flap downFor", NewScenario().Flap(in, Window{From: 0, To: 10}, 0, 1)},
-		{"nil link rate", NewScenario().SetRate(nil, 0, 1e6)},
-		{"non-positive rate", NewScenario().SetRate(link, 0, 0)},
-		{"negative propagation", NewScenario().SetPropagation(link, 0, -1)},
-		{"negative queue", NewScenario().SetQueueCapacity(link, 0, -1)},
 	}
 	for _, tc := range cases {
 		if tc.sc.Err() == nil {

@@ -128,7 +128,7 @@ func TestReorderProbZeroIsFIFO(t *testing.T) {
 
 func TestDumbbellJitterPlumbing(t *testing.T) {
 	eng := sim.New()
-	db := NewDumbbell(eng, DumbbellConfig{
+	db := newDumbbell(t, eng, DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    1 << 20,

@@ -282,38 +282,6 @@ func (l *Link) RateBps() float64 { return l.rateBps }
 // Propagation returns the one-way propagation delay.
 func (l *Link) Propagation() sim.Time { return l.propag }
 
-// SetRateBps changes the serialization rate mid-run (a tc-style rate
-// renegotiation). Packets already being serialized keep their old timing;
-// subsequent packets use the new rate. Panics on a non-positive rate —
-// callers that build timelines validate through faults.Scenario.
-func (l *Link) SetRateBps(bps float64) {
-	if bps <= 0 {
-		panic("netem: SetRateBps requires a positive rate")
-	}
-	l.rateBps = bps
-}
-
-// SetPropagation changes the one-way propagation delay mid-run. Packets
-// already in flight keep their old delay; FIFO ordering is still enforced
-// for non-reordered traffic, so a large downward step delivers back-to-back
-// rather than reordering. Panics on negative delay.
-func (l *Link) SetPropagation(d sim.Time) {
-	if d < 0 {
-		panic("netem: SetPropagation requires a non-negative delay")
-	}
-	l.propag = d
-}
-
-// SetQueueCapacity changes the droptail capacity mid-run (0 = unlimited).
-// Bytes already queued are not evicted; a shrink takes effect through
-// arrival drops. Panics on negative capacity.
-func (l *Link) SetQueueCapacity(bytes int) {
-	if bytes < 0 {
-		panic("netem: SetQueueCapacity requires a non-negative capacity")
-	}
-	l.queueCap = bytes
-}
-
 // serializationTime returns how long size bytes occupy the link.
 func (l *Link) serializationTime(size int) sim.Time {
 	return sim.Time(float64(size*8) / l.rateBps * float64(sim.Second))
@@ -454,18 +422,8 @@ type DumbbellConfig struct {
 	ReorderDelay sim.Time
 }
 
-// NewDumbbell builds the topology. Flows are attached with AttachFlow.
-// It panics on an invalid configuration; NewDumbbellE reports errors.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	d, err := NewDumbbellE(eng, cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return d
-}
-
-// NewDumbbellE builds the topology, reporting configuration errors instead
-// of panicking.
+// NewDumbbellE builds the topology, reporting configuration errors. Flows
+// are attached with AttachFlow.
 func NewDumbbellE(eng *sim.Engine, cfg DumbbellConfig) (*Dumbbell, error) {
 	if cfg.ReverseBps == 0 {
 		cfg.ReverseBps = cfg.BottleneckBps * 40

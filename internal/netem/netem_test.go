@@ -19,6 +19,17 @@ func (c *collect) HandlePacket(p *Packet) {
 	c.at = append(c.at, c.eng.Now())
 }
 
+// newDumbbell builds a dumbbell through NewDumbbellE, failing the test on
+// a configuration error.
+func newDumbbell(t testing.TB, eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
+	t.Helper()
+	db, err := NewDumbbellE(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func mkLink(eng *sim.Engine, rate float64, prop sim.Time, queue int) (*Link, *collect) {
 	sink := &collect{eng: eng}
 	return NewLink(eng, LinkConfig{RateBps: rate, Propagation: prop, QueueBytes: queue}, sink), sink
@@ -232,7 +243,7 @@ func TestDemuxRouting(t *testing.T) {
 
 func TestDumbbellRTT(t *testing.T) {
 	eng := sim.New()
-	db := NewDumbbell(eng, DumbbellConfig{
+	db := newDumbbell(t, eng, DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    100000,
@@ -261,7 +272,7 @@ func TestDumbbellRTT(t *testing.T) {
 
 func TestDumbbellSharedBottleneckIsolatedReverse(t *testing.T) {
 	eng := sim.New()
-	db := NewDumbbell(eng, DumbbellConfig{
+	db := newDumbbell(t, eng, DumbbellConfig{
 		BottleneckBps: 8e6,
 		BaseRTT:       2 * sim.Millisecond,
 		QueueBytes:    3000,
@@ -300,7 +311,7 @@ func TestBDPBytes(t *testing.T) {
 		t.Fatalf("BDP = %d, want 25000", got)
 	}
 	eng := sim.New()
-	db := NewDumbbell(eng, DumbbellConfig{BottleneckBps: 20e6, BaseRTT: 10 * sim.Millisecond})
+	db := newDumbbell(t, eng, DumbbellConfig{BottleneckBps: 20e6, BaseRTT: 10 * sim.Millisecond})
 	if db.BDPBytes() != 25000 {
 		t.Fatalf("dumbbell BDP = %d", db.BDPBytes())
 	}
@@ -308,7 +319,7 @@ func TestBDPBytes(t *testing.T) {
 
 func TestReverseDefaultsUncongested(t *testing.T) {
 	eng := sim.New()
-	db := NewDumbbell(eng, DumbbellConfig{BottleneckBps: 20e6, BaseRTT: 10 * sim.Millisecond})
+	db := newDumbbell(t, eng, DumbbellConfig{BottleneckBps: 20e6, BaseRTT: 10 * sim.Millisecond})
 	if got := db.ReverseLink(1); got != nil {
 		t.Fatal("reverse link exists before AttachFlow")
 	}

@@ -65,27 +65,3 @@ func TestNewDumbbellEValidation(t *testing.T) {
 		t.Fatalf("valid dumbbell rejected: %v", err)
 	}
 }
-
-func TestLinkMutatorPanics(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, LinkConfig{RateBps: 1e6}, HandlerFunc(func(*Packet) {}))
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("SetRateBps(0)", func() { l.SetRateBps(0) })
-	expectPanic("SetPropagation(-1)", func() { l.SetPropagation(-1) })
-	expectPanic("SetQueueCapacity(-1)", func() { l.SetQueueCapacity(-1) })
-
-	// Valid mutations are visible through the accessors.
-	l.SetRateBps(2e6)
-	l.SetPropagation(5 * sim.Millisecond)
-	l.SetQueueCapacity(4096)
-	if l.RateBps() != 2e6 || l.Propagation() != 5*sim.Millisecond || l.Capacity() != 4096 {
-		t.Errorf("mutators not reflected: rate=%g prop=%v cap=%d", l.RateBps(), l.Propagation(), l.Capacity())
-	}
-}

@@ -24,7 +24,7 @@ func startFinite(eng *sim.Engine, db *netem.Dumbbell, flow int, bytes int64,
 
 func TestFiniteFlowCompletes(t *testing.T) {
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		// Unlimited buffer: slow-start overshoot queues instead of
@@ -72,7 +72,7 @@ func TestFiniteFlowCompletes(t *testing.T) {
 // the flow still completes.
 func TestFiniteFlowCompletesUnderLoss(t *testing.T) {
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond) / 10,
@@ -114,7 +114,7 @@ func TestFiniteFlowCompletesUnderLoss(t *testing.T) {
 func runSequentialFlows(t *testing.T, recycle bool) (SenderStats, ReceiverStats) {
 	t.Helper()
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond) / 4, // lossy: exercise loss state reset
@@ -175,7 +175,7 @@ func TestResetFlowMatchesFreshSender(t *testing.T) {
 func TestFiniteFlowSendGateProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		eng := sim.New()
-		db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+		db := newDumbbell(t, eng, netem.DumbbellConfig{
 			BottleneckBps: 20e6,
 			BaseRTT:       10 * sim.Millisecond,
 			QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond) / int(2*seed),

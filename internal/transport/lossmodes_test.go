@@ -108,7 +108,7 @@ func TestLossMarksFlightHarmlessWithoutLoss(t *testing.T) {
 		cfg := quicCfg()
 		cfg.LossMarksFlight = mark
 		ctrl := cc.NewReno(cc.Config{MSS: 1200})
-		db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+		db := newDumbbell(t, eng, netem.DumbbellConfig{
 			BottleneckBps: 20e6,
 			BaseRTT:       10 * sim.Millisecond,
 			QueueBytes:    1 << 20, // huge: no drops

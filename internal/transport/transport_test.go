@@ -193,10 +193,21 @@ func TestReceiverIgnoresDuplicates(t *testing.T) {
 
 // runFlow wires one sender/receiver pair through a dumbbell and runs for
 // the given duration, returning the receiver stats and sender.
+// newDumbbell builds a dumbbell through netem.NewDumbbellE, failing the
+// test on a configuration error.
+func newDumbbell(t testing.TB, eng *sim.Engine, cfg netem.DumbbellConfig) *netem.Dumbbell {
+	t.Helper()
+	db, err := netem.NewDumbbellE(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func runFlow(t *testing.T, ctrl cc.Controller, cfg Config, duration sim.Time) (*Sender, *Receiver, *netem.Dumbbell) {
 	t.Helper()
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond), // 1 BDP
@@ -267,7 +278,7 @@ func TestSenderRTTGrowsWithQueue(t *testing.T) {
 func TestBytesInFlightNeverNegative(t *testing.T) {
 	ctrl := cc.NewCubic(cc.Config{MSS: 1200})
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    12500, // 0.5 BDP: heavy loss
@@ -323,7 +334,7 @@ func TestPacedSenderSmoothsBursts(t *testing.T) {
 	// pacing (not the GSO burst default) dominates.
 	maxQueue := func(pacingScale float64) int {
 		eng := sim.New()
-		db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+		db := newDumbbell(t, eng, netem.DumbbellConfig{
 			BottleneckBps: 20e6,
 			BaseRTT:       50 * sim.Millisecond,
 			QueueBytes:    1 << 20,
@@ -438,7 +449,7 @@ func TestRoundTripsAdvance(t *testing.T) {
 
 func TestTwoFlowsShareBottleneck(t *testing.T) {
 	eng := sim.New()
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
+	db := newDumbbell(t, eng, netem.DumbbellConfig{
 		BottleneckBps: 20e6,
 		BaseRTT:       10 * sim.Millisecond,
 		QueueBytes:    netem.BDPBytes(20e6, 10*sim.Millisecond),

@@ -90,6 +90,37 @@ func TestIsolatedSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIsolatedImpairedSweepBitIdentical: an impaired grid (2 stacks x 2
+// levels) journals byte-identical files in-process and under isolation —
+// the impairment rides the cell spec to the child, whose freshly built
+// loss models draw the same packets.
+func TestIsolatedImpairedSweepBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	journals := [2]string{filepath.Join(dir, "inproc.jsonl"), filepath.Join(dir, "iso.jsonl")}
+	for i, opts := range []SweepOptions{sweepTestOpts(), isolatedTestOpts()} {
+		opts.Impairments = []Impairment{{LossProb: 0.01}, {Burst: true}}
+		opts.Checkpoint = journals[i]
+		sum, err := RunSweep(context.Background(), opts)
+		if err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+		if len(sum.Cells) != 4 || sum.Failed() != 0 {
+			t.Fatalf("sweep %d: %d cells, %d failed; want 4 healthy", i, len(sum.Cells), sum.Failed())
+		}
+	}
+	inproc, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := os.ReadFile(journals[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inproc, iso) {
+		t.Errorf("impaired journals differ:\nin-process %s\nisolated   %s", inproc, iso)
+	}
+}
+
 // TestIsolatedSweepWedgeClassified is the reaper end-to-end: one cell's
 // child wedges via the QUICBENCH_TEST_WEDGE hook, is SIGKILLed, classified
 // as a timeout, retried to its budget, and the sweep still completes with

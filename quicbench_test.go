@@ -196,11 +196,11 @@ func TestProfileLookup(t *testing.T) {
 
 func TestExperimentCatalog(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 24 {
-		t.Fatalf("experiments = %d, want 24 (15 figures + tables 1-4 + 5 extensions)", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("experiments = %d, want 22 (15 figures + tables 1-4 + 3 extensions)", len(exps))
 	}
-	if got := len(Extensions()); got != 5 {
-		t.Fatalf("extensions = %d, want 5", got)
+	if got := len(Extensions()); got != 3 {
+		t.Fatalf("extensions = %d, want 3", got)
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -276,26 +276,6 @@ func TestPlotsWritten(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "plot written") {
 		t.Fatal("no plot reported")
-	}
-}
-
-func TestStaggeredShareAPI(t *testing.T) {
-	net := testNet()
-	a := Impl{Stack: "kernel", CCA: CUBIC}
-	sh, err := StaggeredShare(a, a, net, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.ShareA <= 0 || sh.ShareA >= 1 {
-		t.Fatalf("share = %v", sh.ShareA)
-	}
-	// The early flow should hold at least roughly its fair share against a
-	// late identical entrant.
-	if sh.ShareA < 0.35 {
-		t.Fatalf("early flow share = %.2f, implausibly low", sh.ShareA)
-	}
-	if _, err := StaggeredShare(Impl{Stack: "nosuch", CCA: CUBIC}, a, net, 0); err == nil {
-		t.Fatal("unknown stack accepted")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/faults"
 	"repro/internal/isolate"
 	"repro/internal/netem"
 	"repro/internal/obs"
@@ -44,6 +45,11 @@ type SweepOptions struct {
 	// supervision machinery (workers, isolation, checkpointing, the
 	// distributed fabric, tracing) applies unchanged.
 	TrafficSpec []byte
+	// Impairments, when non-empty, measures every stack × CCA × network
+	// cell once per entry (innermost), the impairment applied to test and
+	// reference trials alike. The zero Impairment is the pristine cell.
+	// Empty means a pristine grid. Not valid with TrafficSpec.
+	Impairments []Impairment
 	// Workers bounds the concurrent cells (default 1).
 	Workers int
 	// Retries is the per-cell attempt budget (default 3).
@@ -153,6 +159,45 @@ type SweepOptions struct {
 	ObsWait time.Duration
 }
 
+// Impairment describes path impairment on the data path (ACKs stay
+// clean), in the tc-netem vocabulary: an i.i.d. loss probability or a
+// Gilbert–Elliott burst channel, duplication/corruption taps, and an
+// optional blackout window. The zero value is the pristine testbed.
+type Impairment struct {
+	// LossProb is the i.i.d. per-packet loss probability.
+	LossProb float64
+	// Burst replaces the i.i.d. process with a Gilbert–Elliott burst
+	// channel of roughly 1% mean loss in ~25-packet bursts.
+	Burst bool
+	// DupProb / CorruptProb are per-packet duplication and corruption
+	// probabilities.
+	DupProb     float64
+	CorruptProb float64
+	// BlackoutStart/BlackoutDuration describe a total outage window of the
+	// data path (zero duration = no blackout).
+	BlackoutStart    time.Duration
+	BlackoutDuration time.Duration
+}
+
+// toCore lowers the public spec to the cell's impairment; the pristine
+// testbed lowers to nil, so its cell key and spec match an unimpaired
+// grid's.
+func (m Impairment) toCore() *core.Impairment {
+	if m == (Impairment{}) {
+		return nil
+	}
+	imp := &core.Impairment{LossProb: m.LossProb, DupProb: m.DupProb, CorruptProb: m.CorruptProb}
+	if m.Burst {
+		b := core.DefaultBurst
+		imp.LossProb, imp.Burst = 0, &b
+	}
+	if m.BlackoutDuration > 0 {
+		from := sim.Duration(m.BlackoutStart)
+		imp.Blackouts = []faults.Window{{From: from, To: from + sim.Duration(m.BlackoutDuration)}}
+	}
+	return imp
+}
+
 // SweepCellResult is one cell of a supervised sweep: its identity, the
 // supervised outcome, and the metrics when the cell completed.
 type SweepCellResult struct {
@@ -200,6 +245,9 @@ func (s *SweepSummary) count(o runner.Outcome) int {
 // sweepCells expands the options into the internal grid.
 func sweepCells(opts SweepOptions) ([]core.SweepCell, error) {
 	if len(opts.TrafficSpec) > 0 {
+		if len(opts.Impairments) > 0 {
+			return nil, fmt.Errorf("quicbench: impairments do not apply to many-flow cells")
+		}
 		spec, err := traffic.ParseSpec(opts.TrafficSpec)
 		if err != nil {
 			return nil, err
@@ -236,7 +284,18 @@ func sweepCells(opts SweepOptions) ([]core.SweepCell, error) {
 	for i, n := range nets {
 		cnets[i] = n.toCore()
 	}
-	return core.GridCells(names, sccas, cnets)
+	cells, err := core.GridCells(names, sccas, cnets)
+	if err != nil || len(opts.Impairments) == 0 {
+		return cells, err
+	}
+	out := make([]core.SweepCell, 0, len(cells)*len(opts.Impairments))
+	for _, c := range cells {
+		for _, imp := range opts.Impairments {
+			c.Impair = imp.toCore()
+			out = append(out, c)
+		}
+	}
+	return out, nil
 }
 
 // cellResult lowers a journal record to the public result type.

@@ -95,3 +95,35 @@ func TestRunSweepUnknownStack(t *testing.T) {
 		t.Fatal("RunSweep accepted an unknown stack")
 	}
 }
+
+// TestSweepImpairmentsGrid: each impairment multiplies the grid, levels
+// innermost; the zero Impairment is the pristine cell, keyed exactly as in
+// an unimpaired grid; impairments do not combine with many-flow cells.
+func TestSweepImpairmentsGrid(t *testing.T) {
+	plain, err := sweepCells(sweepTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sweepTestOpts()
+	opts.Impairments = []Impairment{{}, {LossProb: 0.01}, {Burst: true, LossProb: 0.5}, {BlackoutStart: 800 * time.Millisecond, BlackoutDuration: 200 * time.Millisecond}}
+	cells, err := sweepCells(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffixes := []string{"", "/loss0.01", "/burst", "/blackout800ms+200ms"}
+	if len(cells) != len(plain)*len(suffixes) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(plain)*len(suffixes))
+	}
+	for i, c := range cells {
+		if want := plain[i/len(suffixes)].Key() + suffixes[i%len(suffixes)]; c.Key() != want {
+			t.Errorf("cell %d key %q, want %q", i, c.Key(), want)
+		}
+	}
+	if cells[0].Impair != nil {
+		t.Errorf("zero Impairment lowered to %+v, want nil (the pristine cell)", cells[0].Impair)
+	}
+	opts.TrafficSpec = DefaultTrafficSpec()
+	if _, err := sweepCells(opts); err == nil {
+		t.Error("impairments accepted on many-flow cells")
+	}
+}
