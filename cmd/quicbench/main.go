@@ -38,7 +38,8 @@
 // and -blackout <dur> (a total outage starting at 40% of the run) each add
 // impaired cells, impairing test and reference trials alike. A level whose
 // data is degenerate — a loss rate of 1 starves every trial — fails its
-// cell with the typed diagnostic (use -retries 1: the failure repeats).
+// cell with the typed diagnostic after one attempt: the failure repeats, so
+// it is not retried.
 //
 // With -listen the sweep becomes a distributed campaign: the coordinator
 // shards cells across `quicbench worker` processes over TCP, workers

@@ -5,7 +5,20 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	quicbench "repro"
+	"repro/internal/isolate"
 )
+
+// TestMain doubles as the isolated trial child: `sweep -isolate` re-execs
+// this test binary with the child marker set, and the hook routes it into
+// the same TrialChildMain the production `quicbench _trial` mode runs.
+func TestMain(m *testing.M) {
+	if os.Getenv(isolate.ChildEnvMarker) == "1" {
+		os.Exit(quicbench.TrialChildMain())
+	}
+	os.Exit(m.Run())
+}
 
 // runCLI drives dispatch in-process with os.Stderr captured, returning the
 // exit code and everything the run printed there.

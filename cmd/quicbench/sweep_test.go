@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // runSweep drives `quicbench sweep` in-process, returning the exit code
@@ -19,6 +22,66 @@ func runSweep(t *testing.T, args ...string) (int, string) {
 func smokeArgs(journal string, extra ...string) []string {
 	return append([]string{"-stacks", "quicgo,lsquic", "-ccas", "cubic", "-duration", "2s",
 		"-trials", "1", "-q", "-checkpoint", journal}, extra...)
+}
+
+// runSweepStdout is runSweep with os.Stdout captured as well.
+func runSweepStdout(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	captured := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		captured <- string(b)
+	}()
+	code, stderr = runSweep(t, args...)
+	os.Stdout = saved
+	w.Close()
+	return code, <-captured, stderr
+}
+
+// A cell that fails the same way on every attempt — `-loss 1` drops every
+// data packet, so a flow moves nothing — is a model failure: it costs one
+// attempt in-process and under -isolate alike, both executors journal the
+// same error, and the FAIL row prints the cause instead of the runner's
+// "trial <key> attempt N" prefix.
+func TestSweepModelFailureCostsOneAttempt(t *testing.T) {
+	const key = "quicgo/cubic/20Mbps/10ms/1.0BDP/2.000000s/x1/seed1/loss1"
+	const row = key + "  FAIL  1    -     -       -      -       -  " +
+		"test trial 0: core: trial 0 flow 0 (quicgo cubic vs kernel cubic, 20Mbps/10ms/1.0BDP): " +
+		"core: flow achieved zero throughput in the measurement window"
+	var journals [2][]byte
+	for i, mode := range []string{"-isolate=false", "-isolate"} {
+		journal := filepath.Join(t.TempDir(), "j.jsonl")
+		code, stdout, stderr := runSweepStdout(t, "-stacks", "quicgo", "-ccas", "cubic", "-loss", "0,1",
+			"-duration", "2s", "-trials", "1", "-q", "-checkpoint", journal, mode)
+		if code != 1 {
+			t.Fatalf("%s: sweep exited %d, want 1:\n%s", mode, code, stderr)
+		}
+		if !strings.Contains(stdout, row+"\n") {
+			t.Errorf("%s: FAIL row missing; want\n%s\ngot\n%s", mode, row, stdout)
+		}
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, _, err := runner.ParseJournalVerified(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := done[key]; rec.Outcome != runner.OutcomeFailed || rec.Attempts != 1 ||
+			!strings.Contains(rec.Err, "attempt 1 model: ") {
+			t.Errorf("%s: loss1 record %+v, want one failed attempt of kind model", mode, rec)
+		}
+		journals[i] = data
+	}
+	if !bytes.Equal(journals[0], journals[1]) {
+		t.Errorf("journals differ between executors:\nin-process %s\nisolate    %s", journals[0], journals[1])
+	}
 }
 
 // A plain `sweep -checkpoint j -resume` — no -listen or -obs-addr —

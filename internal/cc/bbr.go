@@ -128,9 +128,6 @@ func (b *BBR) PacingRate() float64 {
 // InSlowStart implements Controller (BBR's analogue is STARTUP).
 func (b *BBR) InSlowStart() bool { return b.state == bbrStartup }
 
-// State exposes the current state name for tracing and tests.
-func (b *BBR) State() string { return b.state.String() }
-
 // SetTracer implements TraceSetter.
 func (b *BBR) SetTracer(t telemetry.Tracer, flow int) {
 	b.tracer, b.flow = t, flow

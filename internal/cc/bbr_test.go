@@ -28,7 +28,7 @@ func bbrAck(now sim.Time, bytes int, rtt sim.Time, rate float64, round int64, in
 func driveBBRToProbeBW(b *BBR, rate float64, rtt sim.Time) (sim.Time, int64) {
 	now := sim.Time(0)
 	round := int64(0)
-	for i := 0; i < 50 && b.State() != "probe_bw"; i++ {
+	for i := 0; i < 50 && b.state.String() != "probe_bw"; i++ {
 		now += rtt
 		round++
 		inflight := int(rate * rtt.Seconds())
@@ -39,8 +39,8 @@ func driveBBRToProbeBW(b *BBR, rate float64, rtt sim.Time) (sim.Time, int64) {
 
 func TestBBRStartsInStartup(t *testing.T) {
 	b := NewBBR(bbrCfg())
-	if b.State() != "startup" {
-		t.Fatalf("state = %s", b.State())
+	if b.state.String() != "startup" {
+		t.Fatalf("state = %s", b.state.String())
 	}
 	if !b.InSlowStart() {
 		t.Fatal("InSlowStart false in startup")
@@ -69,16 +69,16 @@ func TestBBRStartupGrowsWindow(t *testing.T) {
 	if b.CWND() <= before {
 		t.Fatalf("startup did not grow cwnd: %d", b.CWND())
 	}
-	if b.State() != "startup" {
-		t.Fatalf("left startup while bandwidth still growing: %s", b.State())
+	if b.state.String() != "startup" {
+		t.Fatalf("left startup while bandwidth still growing: %s", b.state.String())
 	}
 }
 
 func TestBBRExitsStartupWhenPipeFull(t *testing.T) {
 	b := NewBBR(bbrCfg())
 	driveBBRToProbeBW(b, 2.5e6, 10*sim.Millisecond)
-	if b.State() != "probe_bw" {
-		t.Fatalf("state = %s, want probe_bw after flat bandwidth", b.State())
+	if b.state.String() != "probe_bw" {
+		t.Fatalf("state = %s, want probe_bw after flat bandwidth", b.state.String())
 	}
 }
 
@@ -87,14 +87,14 @@ func TestBBRDrainReducesPacingBelowUnity(t *testing.T) {
 	now := sim.Time(0)
 	round := int64(0)
 	const rate = 2.5e6
-	for i := 0; i < 50 && b.State() != "drain"; i++ {
+	for i := 0; i < 50 && b.state.String() != "drain"; i++ {
 		now += 10 * sim.Millisecond
 		round++
 		// Keep inflight far above BDP so drain does not complete.
 		b.OnAck(bbrAck(now, 10*testMSS, 10*sim.Millisecond, rate, round, 100*testMSS))
 	}
-	if b.State() != "drain" {
-		t.Skipf("did not observe drain state (went %s)", b.State())
+	if b.state.String() != "drain" {
+		t.Skipf("did not observe drain state (went %s)", b.state.String())
 	}
 	if got := b.PacingRate(); got >= rate {
 		t.Fatalf("drain pacing %v not below bottleneck %v", got, rate)
@@ -185,7 +185,7 @@ func TestBBRProbeRTTEntryAfterMinRTTExpiry(t *testing.T) {
 		round++
 		ev := bbrAck(now, 10*testMSS, 12*sim.Millisecond, rate, round, 4*testMSS)
 		b.OnAck(ev)
-		if b.State() == "probe_rtt" {
+		if b.state.String() == "probe_rtt" {
 			sawProbeRTT = true
 			if b.CWND() < minCwndSeen {
 				minCwndSeen = b.CWND()
@@ -210,15 +210,15 @@ func TestBBRProbeRTTExitsBackToProbeBW(t *testing.T) {
 		now += rtt
 		round++
 		b.OnAck(bbrAck(now, 10*testMSS, 12*sim.Millisecond, rate, round, 3*testMSS))
-		if b.State() == "probe_rtt" {
+		if b.state.String() == "probe_rtt" {
 			entered = true
 		}
-		if entered && b.State() == "probe_bw" {
+		if entered && b.state.String() == "probe_bw" {
 			exited = true
 		}
 	}
 	if !entered || !exited {
-		t.Fatalf("probe_rtt cycle incomplete: entered=%v exited=%v state=%s", entered, exited, b.State())
+		t.Fatalf("probe_rtt cycle incomplete: entered=%v exited=%v state=%s", entered, exited, b.state.String())
 	}
 }
 

@@ -9,11 +9,23 @@ import (
 	"repro/internal/stats"
 )
 
+// normal draws a standard normal variate from r by the Marsaglia polar
+// method.
+func normal(r *stats.RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
 // blob generates n points normally distributed around (cx, cy).
 func blob(r *stats.RNG, cx, cy, sd float64, n int) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
-		pts[i] = geom.Point{X: cx + sd*r.NormFloat64(), Y: cy + sd*r.NormFloat64()}
+		pts[i] = geom.Point{X: cx + sd*normal(r), Y: cy + sd*normal(r)}
 	}
 	return pts
 }

@@ -40,6 +40,9 @@ var (
 	// by SpecE (Spec keeps panicking for compat, with an error value that
 	// wraps this sentinel).
 	ErrUnknownStack = errors.New("core: unknown stack")
+	// errLossModel prefixes an impairment whose loss-model parameters are
+	// out of range.
+	errLossModel = errors.New("core: loss model")
 )
 
 // Network describes one experiment configuration from the §4 grid.
@@ -195,19 +198,6 @@ type Bounds struct {
 // for diagnostics.
 func RunTrialE(a, b Flow, n Network, trial int) (*TrialResult, error) {
 	return runTrial(a, b, n, trial, nil, Bounds{}, nil)
-}
-
-// RunTrialBounded is RunTrialE under supervision bounds: cancellation via
-// bounds.Ctx surfaces as faults.ErrInterrupted, a virtual-clock deadline as
-// faults.ErrDeadline.
-func RunTrialBounded(a, b Flow, n Network, trial int, bounds Bounds) (*TrialResult, error) {
-	return runTrial(a, b, n, trial, nil, bounds, nil)
-}
-
-// RunTrialImpaired is RunTrialE with a fault-injection specification
-// applied to the forward (data) path.
-func RunTrialImpaired(a, b Flow, n Network, trial int, imp Impairment) (*TrialResult, error) {
-	return runTrial(a, b, n, trial, &imp, Bounds{}, nil)
 }
 
 // runTrial is the shared trial engine. A nil imp (or an empty one) runs
@@ -453,13 +443,9 @@ func Conformance(test Flow, n Network) (pe.Report, error) {
 	return conformanceImpaired(test, n, nil, Bounds{}, nil)
 }
 
-// ConformanceImpaired runs the conformance pipeline with the given fault
+// conformanceImpaired runs the conformance pipeline with the given fault
 // specification applied to every trial — test and reference alike, so both
 // envelopes are measured under the same impaired path.
-func ConformanceImpaired(test Flow, n Network, imp Impairment) (pe.Report, error) {
-	return conformanceImpaired(test, n, &imp, Bounds{}, nil)
-}
-
 func conformanceImpaired(test Flow, n Network, imp *Impairment, bounds Bounds, ct *cellTracer) (pe.Report, error) {
 	ref := Flow{Stack: stacks.Reference(), CCA: test.CCA}
 	testTrials, err := trialSet(test, ref, n, 0, "test", imp, bounds, ct)

@@ -138,8 +138,8 @@ func TestGoldenConformance(t *testing.T) {
 // data path), covering the injector's RNG draw sequence as well.
 func TestGoldenImpairedTrial(t *testing.T) {
 	n := goldenNetwork()
-	res, err := RunTrialImpaired(Spec("quicgo", stacks.CUBIC), Spec("kernel", stacks.CUBIC), n, 0,
-		Impairment{LossProb: 0.005})
+	res, err := runTrial(Spec("quicgo", stacks.CUBIC), Spec("kernel", stacks.CUBIC), n, 0,
+		&Impairment{LossProb: 0.005}, Bounds{}, nil)
 	if err != nil {
 		t.Fatalf("golden impaired trial failed: %v", err)
 	}

@@ -94,13 +94,13 @@ func (imp *Impairment) lossModel() (faults.LossModel, error) {
 func (imp *Impairment) install(eng *sim.Engine, rng *stats.RNG, bottleneck netem.Handler) (*faults.Injector, error) {
 	lm, err := imp.lossModel()
 	if err != nil {
-		return nil, fmt.Errorf("core: loss model: %w", err)
+		return nil, fmt.Errorf("%w: %w", errLossModel, err)
 	}
 	cfg := faults.Config{Loss: lm, DupProb: imp.DupProb, CorruptProb: imp.CorruptProb}
 	if cfg.Loss != nil || cfg.DupProb > 0 || cfg.CorruptProb > 0 {
 		cfg.RNG = rng.Fork()
 	}
-	inj, err := faults.NewInjector(eng, cfg, bottleneck)
+	inj, err := faults.NewInjector(cfg, bottleneck)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,8 @@ func TestAllLossyTrialReturnsTypedError(t *testing.T) {
 	n := chaosNet(7)
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	res, err := RunTrialImpaired(a, b, n, 0, allLossy())
+	imp := allLossy()
+	res, err := runTrial(a, b, n, 0, &imp, Bounds{}, nil)
 	if err == nil {
 		t.Fatal("all-lossy trial reported no error")
 	}
@@ -55,7 +56,7 @@ func TestBlackoutCoveringRunReturnsTypedError(t *testing.T) {
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
 	imp := Impairment{Blackouts: []faults.Window{{From: 0, To: n.Duration + sim.Second}}}
-	_, err := RunTrialImpaired(a, b, n, 0, imp)
+	_, err := runTrial(a, b, n, 0, &imp, Bounds{}, nil)
 	if !errors.Is(err, ErrZeroThroughput) {
 		t.Fatalf("err = %v, want ErrZeroThroughput", err)
 	}
@@ -66,9 +67,10 @@ func TestBlackoutCoveringRunReturnsTypedError(t *testing.T) {
 func TestConformanceImpairedAllLossyError(t *testing.T) {
 	n := chaosNet(7)
 	fl := Spec("quicgo", stacks.CUBIC)
-	_, err := ConformanceImpaired(fl, n, allLossy())
+	imp := allLossy()
+	_, err := conformanceImpaired(fl, n, &imp, Bounds{}, nil)
 	if err == nil {
-		t.Fatal("ConformanceImpaired on all-lossy network reported no error")
+		t.Fatal("conformanceImpaired on all-lossy network reported no error")
 	}
 	if !errors.Is(err, ErrZeroThroughput) {
 		t.Fatalf("err = %v, want ErrZeroThroughput in the chain", err)
@@ -168,7 +170,7 @@ func TestImpairedCellKey(t *testing.T) {
 }
 
 // TestImpairedCellMatchesConformanceImpaired: an impaired sweep cell
-// reports exactly what ConformanceImpaired measures on the same impairment.
+// reports exactly what conformanceImpaired measures on the same impairment.
 func TestImpairedCellMatchesConformanceImpaired(t *testing.T) {
 	n := chaosNet(7)
 	imp := Impairment{Burst: &DefaultBurst}
@@ -176,7 +178,7 @@ func TestImpairedCellMatchesConformanceImpaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ConformanceImpaired(Spec("quicgo", stacks.CUBIC), n, imp)
+	r, err := conformanceImpaired(Spec("quicgo", stacks.CUBIC), n, &imp, Bounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestImpairedCellMatchesConformanceImpaired(t *testing.T) {
 		K:                   r.K,
 	}
 	if got != want {
-		t.Errorf("impaired cell %+v, ConformanceImpaired %+v", got, want)
+		t.Errorf("impaired cell %+v, conformanceImpaired %+v", got, want)
 	}
 }
 
@@ -203,7 +205,7 @@ func TestImpairmentBadParameter(t *testing.T) {
 		{LossProb: 1.5},
 		{Burst: &GilbertElliott{PGoodBad: 2}},
 	} {
-		if _, err := RunTrialImpaired(a, b, n, 0, imp); err == nil || !strings.Contains(err.Error(), "core: loss model:") {
+		if _, err := runTrial(a, b, n, 0, &imp, Bounds{}, nil); err == nil || !strings.Contains(err.Error(), "core: loss model:") {
 			t.Errorf("%+v: err = %v, want a core: loss model: error", imp, err)
 		}
 	}
@@ -217,8 +219,8 @@ func TestImpairedTrialDeterministic(t *testing.T) {
 	a := Spec("quicgo", stacks.CUBIC)
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
 	imp := Impairment{LossProb: 0.01}
-	r1, err1 := RunTrialImpaired(a, b, n, 0, imp)
-	r2, err2 := RunTrialImpaired(a, b, n, 0, imp)
+	r1, err1 := runTrial(a, b, n, 0, &imp, Bounds{}, nil)
+	r2, err2 := runTrial(a, b, n, 0, &imp, Bounds{}, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
 	}
@@ -244,7 +246,7 @@ func TestZeroImpairmentMatchesCleanPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	impaired, err := RunTrialImpaired(a, b, n, 0, Impairment{})
+	impaired, err := runTrial(a, b, n, 0, &Impairment{}, Bounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestChaosSeedSweepSmoke(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
 	confs := make([]float64, 0, len(seeds))
 	for _, seed := range seeds {
-		r, err := ConformanceImpaired(fl, chaosNet(seed), imp)
+		r, err := conformanceImpaired(fl, chaosNet(seed), &imp, Bounds{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -289,7 +291,7 @@ func TestChaosSeedSweepSmoke(t *testing.T) {
 		t.Errorf("mean conformance %.3f across seeds %v; moderate impairment should not collapse it", mean, confs)
 	}
 	// Re-running the first seed must reproduce its conformance exactly.
-	again, err := ConformanceImpaired(fl, chaosNet(seeds[0]), imp)
+	again, err := conformanceImpaired(fl, chaosNet(seeds[0]), &imp, Bounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
+	"repro/internal/pe"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stacks"
@@ -108,7 +110,22 @@ type CellTrialSpec struct {
 // runCell executes the full conformance pipeline for one cell — the single
 // code path behind both the in-process trial closure and the isolated
 // child (ExecuteCellSpec), which is what makes their results bit-identical.
+// Its model errors are a pure function of the cell's spec, so it marks them
+// runner.Final: the supervisor does not retry them.
 func runCell(ctx context.Context, c SweepCell, deadline sim.Time, topts *TraceOptions) (CellReport, error) {
+	rep, err := measureCell(ctx, c, deadline, topts)
+	for _, final := range []error{ErrZeroThroughput, ErrUnknownStack, errLossModel,
+		pe.ErrNoSamples, pe.ErrInsufficientSamples, pe.ErrDegenerateEnvelope} {
+		if errors.Is(err, final) {
+			return rep, runner.Final(err)
+		}
+	}
+	return rep, err
+}
+
+// measureCell measures one cell: the many-flow population, or the
+// conformance pipeline of one implementation.
+func measureCell(ctx context.Context, c SweepCell, deadline sim.Time, topts *TraceOptions) (CellReport, error) {
 	if c.Traffic != nil {
 		return manyFlowCell(c, deadline, topts, Bounds{Ctx: ctx})
 	}

@@ -66,12 +66,12 @@ func TestRunTrialBoundedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
-	_, terr := RunTrialBounded(a, b, n, 0, Bounds{Deadline: 200 * sim.Millisecond})
+	_, terr := runTrial(a, b, n, 0, nil, Bounds{Deadline: 200 * sim.Millisecond}, nil)
 	if !errors.Is(terr, faults.ErrDeadline) {
-		t.Fatalf("RunTrialBounded with 200ms deadline on a 2s flow: %v, want ErrDeadline", terr)
+		t.Fatalf("runTrial with 200ms deadline on a 2s flow: %v, want ErrDeadline", terr)
 	}
 	// A deadline past the duration is inert.
-	if _, err := RunTrialBounded(a, b, n, 0, Bounds{Deadline: 10 * sim.Second}); err != nil {
+	if _, err := runTrial(a, b, n, 0, nil, Bounds{Deadline: 10 * sim.Second}, nil); err != nil {
 		t.Fatalf("inert deadline aborted the trial: %v", err)
 	}
 }
@@ -87,9 +87,9 @@ func TestRunTrialBoundedInterrupt(t *testing.T) {
 	b := Flow{Stack: stacks.Reference(), CCA: stacks.CUBIC}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the first guard tick must abort the run
-	_, terr := RunTrialBounded(a, b, n, 0, Bounds{Ctx: ctx})
+	_, terr := runTrial(a, b, n, 0, nil, Bounds{Ctx: ctx}, nil)
 	if !errors.Is(terr, faults.ErrInterrupted) {
-		t.Fatalf("RunTrialBounded under a cancelled context: %v, want ErrInterrupted", terr)
+		t.Fatalf("runTrial under a cancelled context: %v, want ErrInterrupted", terr)
 	}
 }
 

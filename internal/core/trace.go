@@ -131,16 +131,3 @@ func (tt *trialTrace) close() error {
 	}
 	return nil
 }
-
-// RunTrialTraced is RunTrialE with a structured event tracer attached to
-// both senders (and, through them, their congestion controllers). The
-// tracer observes every cwnd/ssthresh/pacing update, CC state transition,
-// loss-detection pass, PTO, spurious-loss rollback, and the end-of-trial
-// transport/engine summaries.
-func RunTrialTraced(a, b Flow, n Network, trial int, tr telemetry.Tracer) (*TrialResult, error) {
-	var tt *trialTrace
-	if tr != nil {
-		tt = &trialTrace{tracer: tr}
-	}
-	return runTrial(a, b, n, trial, nil, Bounds{}, tt)
-}

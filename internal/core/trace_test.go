@@ -29,7 +29,7 @@ func runTraced(t *testing.T, cca stacks.CCA, trial int) ([]byte, *TrialResult) {
 	// The reference stack implements every CC family, so both flows use it.
 	a := Flow{Stack: stacks.Reference(), CCA: cca}
 	b := Flow{Stack: stacks.Reference(), CCA: cca}
-	res, err := RunTrialTraced(a, b, traceNet(), trial, j)
+	res, err := runTrial(a, b, traceNet(), trial, nil, Bounds{}, &trialTrace{tracer: j})
 	if err != nil {
 		t.Fatalf("%s traced trial: %v", cca, err)
 	}

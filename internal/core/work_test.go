@@ -1,9 +1,10 @@
-// Package bench holds the repo's exact, in-process work-metric tests: the
-// pinned-seed workloads below fire a seed-determined number of engine
-// events and allocate a seed-determined number of objects, so both are
-// asserted as constants in code. Timing, and every metric with a noise
-// band, comes from benchmark/ (see benchmark/README.md) and nowhere else.
-package bench
+package core
+
+// The repo's exact, in-process work-metric tests: the pinned-seed
+// workloads below fire a seed-determined number of engine events and
+// allocate a seed-determined number of objects, so both are asserted as
+// constants in code. Timing, and every metric with a noise band, comes
+// from benchmark/ (see benchmark/README.md) and nowhere else.
 
 import (
 	"io"
@@ -12,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stacks"
@@ -24,8 +24,8 @@ import (
 // benchNet is the shared small-scale network: big enough to leave slow
 // start and exercise loss recovery, small enough that every workload runs
 // in a fraction of a second.
-func benchNet(seed uint64) core.Network {
-	return core.Network{
+func benchNet(seed uint64) Network {
+	return Network{
 		BandwidthMbps: 20,
 		RTT:           10 * sim.Millisecond,
 		BufferBDP:     1,
@@ -131,7 +131,7 @@ func TestWorkMetrics(t *testing.T) {
 			return singleFlowTraced(t, newCubic, telemetry.NewJSONL(io.Discard))
 		}},
 		{"two_flow_trial_cubic", 27664, 417, func() uint64 {
-			res, err := core.RunTrialE(core.Spec("quicgo", stacks.CUBIC), core.Spec("kernel", stacks.CUBIC), benchNet(1), 0)
+			res, err := RunTrialE(Spec("quicgo", stacks.CUBIC), Spec("kernel", stacks.CUBIC), benchNet(1), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,8 +140,8 @@ func TestWorkMetrics(t *testing.T) {
 		// One fault-injected trial: Gilbert–Elliott burst loss on the data
 		// path exercises the injector and the spurious-loss paths.
 		{"chaos_trial_gilbert", 28271, 407, func() uint64 {
-			imp := core.Impairment{Burst: &core.GilbertElliott{PGoodBad: 0.002, PBadGood: 0.3, LossBad: 0.5}}
-			res, err := core.RunTrialImpaired(core.Spec("quicgo", stacks.CUBIC), core.Spec("kernel", stacks.CUBIC), benchNet(3), 0, imp)
+			imp := Impairment{Burst: &GilbertElliott{PGoodBad: 0.002, PBadGood: 0.3, LossBad: 0.5}}
+			res, err := runTrial(Spec("quicgo", stacks.CUBIC), Spec("kernel", stacks.CUBIC), benchNet(3), 0, &imp, Bounds{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestWorkMetrics(t *testing.T) {
 			n := benchNet(7)
 			n.Duration = 2 * sim.Second
 			for _, stack := range []string{"quicgo", "mvfst", "quiche"} {
-				if _, err := core.Conformance(core.Spec(stack, stacks.CUBIC), n); err != nil {
+				if _, err := Conformance(Spec(stack, stacks.CUBIC), n); err != nil {
 					t.Fatalf("%s: %v", stack, err)
 				}
 			}
@@ -166,7 +166,7 @@ func TestWorkMetrics(t *testing.T) {
 		// gigabit bottleneck. The ceiling holds its allocs per event at
 		// two_flow_trial_cubic's level despite 500× the flows.
 		{"many_flow_1000", 615174, 9424, func() uint64 {
-			n := core.Network{
+			n := Network{
 				BandwidthMbps: 1000,
 				RTT:           20 * sim.Millisecond,
 				BufferBDP:     1,
@@ -174,7 +174,7 @@ func TestWorkMetrics(t *testing.T) {
 				Trials:        1,
 				Seed:          5,
 			}
-			res, err := core.RunManyFlowTrial(core.DefaultTrafficSpec(), n, 0, core.Bounds{}, nil)
+			res, err := RunManyFlowTrial(DefaultTrafficSpec(), n, 0, Bounds{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func lowerResult(key string, attempt int, res *resultMsg) (json.RawMessage, *run
 	}
 	kind := runner.FailKind(res.Kind)
 	switch kind {
-	case runner.FailPanic, runner.FailTimeout, runner.FailInterrupted, runner.FailError:
+	case runner.FailPanic, runner.FailTimeout, runner.FailInterrupted, runner.FailModel, runner.FailError:
 	default:
 		kind = runner.FailError
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -87,9 +86,6 @@ func (g *GilbertElliott) Drop(rng *stats.RNG) bool {
 	return lost
 }
 
-// Bad reports whether the model is currently in the Bad (burst) state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // MeanLoss returns the stationary loss rate of the channel.
 func (g *GilbertElliott) MeanLoss() float64 {
 	denom := g.PGoodBad + g.PBadGood
@@ -99,44 +95,6 @@ func (g *GilbertElliott) MeanLoss() float64 {
 	}
 	piBad := g.PGoodBad / denom
 	return piBad*g.LossBad + (1-piBad)*g.LossGood
-}
-
-// EventKind enumerates injector decisions.
-type EventKind int
-
-// Injector decision kinds.
-const (
-	Pass EventKind = iota
-	Lost
-	Blackholed
-	Corrupted
-	Duplicated
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case Pass:
-		return "pass"
-	case Lost:
-		return "lost"
-	case Blackholed:
-		return "blackholed"
-	case Corrupted:
-		return "corrupted"
-	case Duplicated:
-		return "duplicated"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event records one injector decision, for tracing and determinism tests.
-type Event struct {
-	Time sim.Time
-	Flow int
-	Seq  int64
-	Kind EventKind
 }
 
 // Config configures an Injector. Impairments are applied in a fixed order
@@ -172,20 +130,15 @@ type InjectorStats struct {
 // composes anywhere in a topology: in front of a link to model a lossy
 // access segment, or behind it to model receiver-side damage.
 type Injector struct {
-	eng  *sim.Engine
 	cfg  Config
 	dst  netem.Handler
 	down bool
 
 	Stats InjectorStats
-	taps  []func(Event)
 }
 
 // NewInjector validates cfg and builds an injector delivering to dst.
-func NewInjector(eng *sim.Engine, cfg Config, dst netem.Handler) (*Injector, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("faults: nil engine")
-	}
+func NewInjector(cfg Config, dst netem.Handler) (*Injector, error) {
 	if dst == nil {
 		return nil, fmt.Errorf("faults: nil destination handler")
 	}
@@ -198,37 +151,28 @@ func NewInjector(eng *sim.Engine, cfg Config, dst netem.Handler) (*Injector, err
 	if (cfg.Loss != nil || cfg.DupProb > 0 || cfg.CorruptProb > 0) && cfg.RNG == nil {
 		return nil, fmt.Errorf("faults: probabilistic impairments require Config.RNG")
 	}
-	return &Injector{eng: eng, cfg: cfg, dst: dst}, nil
+	return &Injector{cfg: cfg, dst: dst}, nil
 }
-
-// Tap registers fn to observe every injector decision, in packet order.
-func (in *Injector) Tap(fn func(Event)) { in.taps = append(in.taps, fn) }
 
 // SetDown switches the blackout state: while down, every packet is
 // blackholed. Scenario.Blackout drives this on the virtual clock.
 func (in *Injector) SetDown(down bool) { in.down = down }
-
-// Down reports the blackout state.
-func (in *Injector) Down() bool { return in.down }
 
 // HandlePacket implements netem.Handler.
 func (in *Injector) HandlePacket(pkt *netem.Packet) {
 	in.Stats.Seen++
 	if in.down {
 		in.Stats.Blackholed++
-		in.emit(pkt, Blackholed)
 		netem.ReleasePacket(pkt) // terminal: swallowed by the blackout
 		return
 	}
 	if in.cfg.Loss != nil && in.cfg.Loss.Drop(in.cfg.RNG) {
 		in.Stats.Lost++
-		in.emit(pkt, Lost)
 		netem.ReleasePacket(pkt) // terminal: injected loss
 		return
 	}
 	if in.cfg.CorruptProb > 0 && in.cfg.RNG.Float64() < in.cfg.CorruptProb {
 		in.Stats.Corrupted++
-		in.emit(pkt, Corrupted)
 		cp := netem.ClonePacket(pkt)
 		cp.Corrupted = true
 		netem.ReleasePacket(pkt) // the clone travels on in its place
@@ -236,7 +180,6 @@ func (in *Injector) HandlePacket(pkt *netem.Packet) {
 		return
 	}
 	in.Stats.Passed++
-	in.emit(pkt, Pass)
 	// Decide on duplication (and clone) before forwarding: the destination
 	// may consume and recycle pkt synchronously (e.g. a droptail discard),
 	// after which its fields are no longer ours to read.
@@ -247,17 +190,6 @@ func (in *Injector) HandlePacket(pkt *netem.Packet) {
 	}
 	in.dst.HandlePacket(pkt)
 	if dup != nil {
-		in.emit(dup, Duplicated)
 		in.dst.HandlePacket(dup)
-	}
-}
-
-func (in *Injector) emit(pkt *netem.Packet, kind EventKind) {
-	if len(in.taps) == 0 {
-		return
-	}
-	ev := Event{Time: in.eng.Now(), Flow: pkt.Flow, Seq: pkt.Seq, Kind: kind}
-	for _, t := range in.taps {
-		t(ev)
 	}
 }

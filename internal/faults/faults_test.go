@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -147,14 +146,14 @@ func TestGilbertElliottMeanLoss(t *testing.T) {
 			// the counted window.
 			lost, sojourns, sojournPkts, run := 0, 0, 0, -1
 			for j := 0; j < n; j++ {
-				wasBad := ge.Bad()
+				wasBad := ge.bad
 				if ge.Drop(rng) {
 					lost++
 				}
 				switch {
-				case !wasBad && ge.Bad():
+				case !wasBad && ge.bad:
 					run = 0
-				case wasBad && !ge.Bad() && run >= 0:
+				case wasBad && !ge.bad && run >= 0:
 					sojourns++
 					sojournPkts += run + 1
 					run = -1
@@ -203,32 +202,27 @@ func TestIIDLossRate(t *testing.T) {
 }
 
 func TestInjectorValidation(t *testing.T) {
-	eng := sim.New()
 	dst := &collector{}
-	if _, err := NewInjector(nil, Config{}, dst); err == nil {
-		t.Error("nil engine accepted")
-	}
-	if _, err := NewInjector(eng, Config{}, nil); err == nil {
+	if _, err := NewInjector(Config{}, nil); err == nil {
 		t.Error("nil destination accepted")
 	}
-	if _, err := NewInjector(eng, Config{DupProb: 1.5, RNG: stats.NewRNG(1)}, dst); err == nil {
+	if _, err := NewInjector(Config{DupProb: 1.5, RNG: stats.NewRNG(1)}, dst); err == nil {
 		t.Error("DupProb > 1 accepted")
 	}
-	if _, err := NewInjector(eng, Config{CorruptProb: -0.1, RNG: stats.NewRNG(1)}, dst); err == nil {
+	if _, err := NewInjector(Config{CorruptProb: -0.1, RNG: stats.NewRNG(1)}, dst); err == nil {
 		t.Error("negative CorruptProb accepted")
 	}
-	if _, err := NewInjector(eng, Config{Loss: IIDLoss{P: 0.1}}, dst); err == nil {
+	if _, err := NewInjector(Config{Loss: IIDLoss{P: 0.1}}, dst); err == nil {
 		t.Error("probabilistic impairment without RNG accepted")
 	}
-	if _, err := NewInjector(eng, Config{}, dst); err != nil {
+	if _, err := NewInjector(Config{}, dst); err != nil {
 		t.Errorf("impairment-free injector rejected: %v", err)
 	}
 }
 
 func TestInjectorCorruptionFlagsCopy(t *testing.T) {
-	eng := sim.New()
 	dst := &collector{}
-	in, err := NewInjector(eng, Config{RNG: stats.NewRNG(1), CorruptProb: 1}, dst)
+	in, err := NewInjector(Config{RNG: stats.NewRNG(1), CorruptProb: 1}, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +243,8 @@ func TestInjectorCorruptionFlagsCopy(t *testing.T) {
 }
 
 func TestInjectorDuplication(t *testing.T) {
-	eng := sim.New()
 	dst := &collector{}
-	in, err := NewInjector(eng, Config{RNG: stats.NewRNG(1), DupProb: 1}, dst)
+	in, err := NewInjector(Config{RNG: stats.NewRNG(1), DupProb: 1}, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +261,8 @@ func TestInjectorDuplication(t *testing.T) {
 }
 
 func TestInjectorBlackout(t *testing.T) {
-	eng := sim.New()
 	dst := &collector{}
-	in, err := NewInjector(eng, Config{}, dst)
+	in, err := NewInjector(Config{}, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +283,14 @@ func TestInjectorBlackout(t *testing.T) {
 // TestInjectorTraceDeterminism: the same seed must damage the same packets
 // — the impairment trace is a pure function of the seed.
 func TestInjectorTraceDeterminism(t *testing.T) {
-	run := func(seed uint64) []Event {
-		eng := sim.New()
+	type delivery struct {
+		seq       int64
+		corrupted bool
+	}
+	run := func(seed uint64) ([]delivery, InjectorStats) {
 		dst := &collector{}
 		ge, _ := NewGilbertElliott(0.05, 0.3, 0.01, 0.6)
-		in, err := NewInjector(eng, Config{
+		in, err := NewInjector(Config{
 			RNG:         stats.NewRNG(seed),
 			Loss:        ge,
 			DupProb:     0.02,
@@ -304,20 +299,29 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var events []Event
-		in.Tap(func(ev Event) { events = append(events, ev) })
 		for i := 0; i < 500; i++ {
 			in.HandlePacket(&netem.Packet{Flow: 1, Seq: int64(i), Size: 1200})
 		}
-		return events
+		out := make([]delivery, len(dst.pkts))
+		for i, p := range dst.pkts {
+			out[i] = delivery{p.Seq, p.Corrupted}
+		}
+		return out, in.Stats
 	}
-	a, b := run(11), run(11)
+	a, sa := run(11)
+	b, sb := run(11)
+	if sa != sb {
+		t.Fatalf("same seed, different decisions: %+v vs %+v", sa, sb)
+	}
+	if sa.Lost == 0 || sa.Corrupted == 0 || sa.Duplicated == 0 {
+		t.Fatalf("trace exercises too little: %+v", sa)
+	}
 	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("delivery lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at event %d: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("same seed diverged at delivery %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

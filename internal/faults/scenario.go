@@ -31,12 +31,6 @@ type Scenario struct {
 // NewScenario returns an empty timeline.
 func NewScenario() *Scenario { return &Scenario{} }
 
-// Err returns the first validation error recorded by a builder method.
-func (s *Scenario) Err() error { return s.err }
-
-// Steps returns a copy of the accumulated timeline, in insertion order.
-func (s *Scenario) Steps() []Step { return append([]Step(nil), s.steps...) }
-
 func (s *Scenario) fail(format string, args ...any) *Scenario {
 	if s.err == nil {
 		s.err = fmt.Errorf(format, args...)

@@ -32,7 +32,7 @@ func TestScenarioBlackoutGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewInjector(eng, Config{}, link)
+	in, err := NewInjector(Config{}, link)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestScenarioFlapPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewInjector(eng, Config{}, link)
+	in, err := NewInjector(Config{}, link)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestScenarioValidation(t *testing.T) {
 	eng := sim.New()
 	dst := &timedCollector{eng: eng}
 	link := netem.NewLink(eng, netem.LinkConfig{RateBps: 1e6}, dst)
-	in, _ := NewInjector(eng, Config{}, link)
+	in, _ := NewInjector(Config{}, link)
 
 	cases := []struct {
 		name string
@@ -154,26 +154,27 @@ func TestScenarioValidation(t *testing.T) {
 		{"empty blackout window", NewScenario().Blackout(in, Window{From: 5, To: 5})},
 	}
 	for _, tc := range cases {
-		if tc.sc.Err() == nil {
+		if tc.sc.err == nil {
 			t.Errorf("%s: builder recorded no error", tc.name)
 		}
 		if err := tc.sc.Install(eng); err == nil {
 			t.Errorf("%s: Install succeeded on an invalid timeline", tc.name)
 		}
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("invalid timelines scheduled %d events; want none", eng.Pending())
+	if eng.Run(); eng.Fired() != 0 {
+		t.Errorf("invalid timelines scheduled %d events; want none", eng.Fired())
 	}
 
 	// A step in the engine's past must be refused atomically.
 	eng.At(10*sim.Millisecond, func() {})
 	eng.Run()
 	late := NewScenario().At(5*sim.Millisecond, "late", func() {})
+	fired := eng.Fired()
 	if err := late.Install(eng); err == nil {
 		t.Error("Install accepted a step in the engine's past")
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("rejected timeline left %d events scheduled", eng.Pending())
+	if eng.Run(); eng.Fired() != fired {
+		t.Errorf("rejected timeline left %d events scheduled", eng.Fired()-fired)
 	}
 
 	if err := NewScenario().At(0, "ok", func() {}).Install(nil); err == nil {

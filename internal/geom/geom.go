@@ -280,22 +280,6 @@ func canonical(poly Polygon) Polygon {
 	return out
 }
 
-// BoundingBox returns the axis-aligned bounding box (min, max) of the
-// polygon's vertices. Meaningless for empty polygons (returns zeros).
-func (poly Polygon) BoundingBox() (min, max Point) {
-	if len(poly) == 0 {
-		return
-	}
-	min, max = poly[0], poly[0]
-	for _, p := range poly[1:] {
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
-	}
-	return
-}
-
 // UnionArea approximates the area of the union of a set of convex polygons
 // via inclusion–exclusion over pairwise and triple intersections when the
 // set is small, falling back to Monte-Carlo-free grid sampling for larger

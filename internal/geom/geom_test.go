@@ -192,14 +192,6 @@ func TestIntersectAll(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	p := Polygon{{1, 2}, {5, -1}, {3, 7}}
-	min, max := p.BoundingBox()
-	if min != (Point{1, -1}) || max != (Point{5, 7}) {
-		t.Fatalf("bbox = %v %v", min, max)
-	}
-}
-
 func TestUnionAreaDisjoint(t *testing.T) {
 	polys := []Polygon{square(0, 0, 1), square(10, 10, 2)}
 	if got := UnionArea(polys); math.Abs(got-5) > 1e-9 {

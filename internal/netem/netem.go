@@ -276,12 +276,6 @@ func (l *Link) QueueHighwater() int { return l.queueHighB }
 // Capacity returns the configured droptail capacity (0 = unlimited).
 func (l *Link) Capacity() int { return l.queueCap }
 
-// RateBps returns the configured serialization rate.
-func (l *Link) RateBps() float64 { return l.rateBps }
-
-// Propagation returns the one-way propagation delay.
-func (l *Link) Propagation() sim.Time { return l.propag }
-
 // serializationTime returns how long size bytes occupy the link.
 func (l *Link) serializationTime(size int) sim.Time {
 	return sim.Time(float64(size*8) / l.rateBps * float64(sim.Second))
@@ -373,9 +367,6 @@ func (d *Demux) Register(flow int, h Handler) { d.handlers[flow] = h }
 // are then discarded (and released) on arrival, exactly like traffic for a
 // closed socket — the departure half of a flow churn process.
 func (d *Demux) Unregister(flow int) { delete(d.handlers, flow) }
-
-// Len returns the number of registered flows (for churn invariant tests).
-func (d *Demux) Len() int { return len(d.handlers) }
 
 // HandlePacket implements Handler. Packets for unknown flows are dropped
 // silently (mirrors a host discarding traffic for a closed socket).
@@ -483,15 +474,6 @@ func (d *Dumbbell) AttachFlow(flow int, dataSink, ackSink Handler) (sendData, se
 
 // ReverseLink exposes a flow's reverse link (for taps/tests).
 func (d *Dumbbell) ReverseLink(flow int) *Link { return d.reverse[flow] }
-
-// Config returns the topology configuration.
-func (d *Dumbbell) Config() DumbbellConfig { return d.cfg }
-
-// BDPBytes returns the bandwidth-delay product of the configured
-// bottleneck in bytes.
-func (d *Dumbbell) BDPBytes() int {
-	return BDPBytes(d.cfg.BottleneckBps, d.cfg.BaseRTT)
-}
 
 // BDPBytes computes a bandwidth-delay product in bytes.
 func BDPBytes(rateBps float64, rtt sim.Time) int {

@@ -312,8 +312,8 @@ func TestBDPBytes(t *testing.T) {
 	}
 	eng := sim.New()
 	db := newDumbbell(t, eng, DumbbellConfig{BottleneckBps: 20e6, BaseRTT: 10 * sim.Millisecond})
-	if db.BDPBytes() != 25000 {
-		t.Fatalf("dumbbell BDP = %d", db.BDPBytes())
+	if BDPBytes(db.cfg.BottleneckBps, db.cfg.BaseRTT) != 25000 {
+		t.Fatalf("dumbbell BDP = %d", BDPBytes(db.cfg.BottleneckBps, db.cfg.BaseRTT))
 	}
 }
 
@@ -325,8 +325,8 @@ func TestReverseDefaultsUncongested(t *testing.T) {
 	}
 	db.AttachFlow(1, &collect{eng: eng}, &collect{eng: eng})
 	rev := db.ReverseLink(1)
-	if rev.RateBps() != 20e6*40 {
-		t.Fatalf("reverse rate = %v", rev.RateBps())
+	if rev.rateBps != 20e6*40 {
+		t.Fatalf("reverse rate = %v", rev.rateBps)
 	}
 	if rev.Capacity() != 0 {
 		t.Fatal("reverse path should be unlimited")

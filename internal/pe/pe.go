@@ -116,16 +116,6 @@ func (e *Envelope) Translate(d geom.Point) *Envelope {
 	return out
 }
 
-// Contains reports whether p lies in any hull of the envelope.
-func (e *Envelope) Contains(p geom.Point) bool {
-	for _, h := range e.Hulls {
-		if h.Contains(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // Area returns the union area of the envelope's hulls.
 func (e *Envelope) Area() float64 { return geom.UnionArea(e.Hulls) }
 

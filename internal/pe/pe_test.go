@@ -8,6 +8,28 @@ import (
 	"repro/internal/stats"
 )
 
+// normal draws a standard normal variate from r by the Marsaglia polar
+// method.
+func normal(r *stats.RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
+// contains reports whether p lies in any hull of e.
+func contains(e *Envelope, p geom.Point) bool {
+	for _, h := range e.Hulls {
+		if h.Contains(p) {
+			return true
+		}
+	}
+	return false
+}
+
 // cloudTrials generates nTrials point sets around the given blob centers.
 func cloudTrials(seed uint64, nTrials, perBlob int, sd float64, centers ...geom.Point) [][]geom.Point {
 	r := stats.NewRNG(seed)
@@ -16,8 +38,8 @@ func cloudTrials(seed uint64, nTrials, perBlob int, sd float64, centers ...geom.
 		for _, c := range centers {
 			for i := 0; i < perBlob; i++ {
 				trials[t] = append(trials[t], geom.Point{
-					X: c.X + sd*r.NormFloat64(),
-					Y: c.Y + sd*r.NormFloat64(),
+					X: c.X + sd*normal(r),
+					Y: c.Y + sd*normal(r),
 				})
 			}
 		}
@@ -34,7 +56,7 @@ func TestBuildSingleCluster(t *testing.T) {
 	if len(e.Hulls) != 1 {
 		t.Fatalf("hulls = %d", len(e.Hulls))
 	}
-	if !e.Contains(geom.Point{X: 10, Y: 20}) {
+	if !contains(e, geom.Point{X: 10, Y: 20}) {
 		t.Fatal("envelope misses blob center")
 	}
 }
@@ -49,7 +71,7 @@ func TestBuildTwoClusters(t *testing.T) {
 		t.Fatalf("hulls = %d", len(e.Hulls))
 	}
 	for _, c := range []geom.Point{{X: 10, Y: 5}, {X: 30, Y: 18}} {
-		if !e.Contains(c) {
+		if !contains(e, c) {
 			t.Fatalf("envelope misses center %v", c)
 		}
 	}
@@ -80,7 +102,7 @@ func TestCrossTrialIntersectionRemovesOutliers(t *testing.T) {
 	// must exclude it.
 	trials[0] = append(trials[0], geom.Point{X: 100, Y: 100})
 	e := build(trials, Options{Seed: 4})
-	if e.Contains(geom.Point{X: 100, Y: 100}) {
+	if contains(e, geom.Point{X: 100, Y: 100}) {
 		t.Fatal("outlier survived cross-trial intersection")
 	}
 }
@@ -94,7 +116,7 @@ func TestBuildOldSingleHull(t *testing.T) {
 	// The single hull must cover the empty space between blobs (that is
 	// exactly the overestimation the paper fixes).
 	mid := geom.Point{X: 20, Y: 11.5}
-	if !e.Contains(mid) {
+	if !contains(e, mid) {
 		t.Fatal("old single-hull PE should cover inter-blob space")
 	}
 }
@@ -103,7 +125,7 @@ func TestBuildOldTrimsOutliers(t *testing.T) {
 	trials := cloudTrials(6, 1, 200, 1, geom.Point{X: 10, Y: 10})
 	trials[0] = append(trials[0], geom.Point{X: 500, Y: 500})
 	e := BuildOld(trials)
-	if e.Contains(geom.Point{X: 500, Y: 500}) {
+	if contains(e, geom.Point{X: 500, Y: 500}) {
 		t.Fatal("5% trim did not remove extreme outlier")
 	}
 }

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/runner"
 )
@@ -99,24 +100,22 @@ func SweepTable(rows []SweepRow) *Table {
 			continue
 		}
 		t.AddRow(r.Cell, outcomeMark(r.Outcome), r.Attempts,
-			"-", "-", "-", "-", "-", truncateErr(r.Err))
+			"-", "-", "-", "-", "-", failCause(r.Cell, r.Err))
 	}
 	return t
 }
 
-// truncateErr keeps error cells to one readable line.
-func truncateErr(s string) string {
-	const max = 72
-	for i, c := range s {
-		if c == '\n' {
-			s = s[:i]
-			break
+// failCause is the first line of a cell's error, without the "trial <key>
+// attempt N <kind>: " prefix the runner puts on a failed attempt: the row
+// already names the cell, and the cause is what the reader needs.
+func failCause(cell, err string) string {
+	if rest, ok := strings.CutPrefix(err, "trial "+cell+" attempt "); ok {
+		if _, cause, ok := strings.Cut(rest, ": "); ok {
+			err = cause
 		}
 	}
-	if len(s) > max {
-		return s[:max-1] + "…"
-	}
-	return s
+	line, _, _ := strings.Cut(err, "\n")
+	return line
 }
 
 // SweepSummary renders the one-line outcome tally of a sweep, e.g.

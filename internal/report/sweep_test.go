@@ -35,6 +35,11 @@ func TestSweepTableAnnotations(t *testing.T) {
 	if strings.Contains(out, "stack trace") {
 		t.Errorf("multi-line error leaked past the first line:\n%s", out)
 	}
+	// The row names the cell, so the runner's "trial <key> attempt N
+	// <kind>: " prefix is dropped and the cause shows in full.
+	if !strings.Contains(out, "  deadline\n") || strings.Contains(out, "trial xquic/bbr") {
+		t.Errorf("FAIL row does not end in its bare cause:\n%s", out)
+	}
 	// Failed cells must not render metrics.
 	for _, line := range strings.Split(out, "\n") {
 		if strings.Contains(line, "FAIL") && !strings.Contains(line, "-") {

@@ -30,12 +30,11 @@ func writtenJournal(tb testing.TB, recs ...Record) []byte {
 	return data
 }
 
-// FuzzParseJournal feeds arbitrary bytes to the checkpoint-journal parsers.
-// Invariants: they never panic; ParseJournal either fails with the typed
-// ErrJournalCorrupt sentinel or returns only keyed records; and the
-// recovering parser (ParseJournalVerified) always classifies input as a
-// verifiable prefix — whose records ParseJournal of the prefix bytes agrees
-// with — or typed corruption, never anything in between.
+// FuzzParseJournal feeds arbitrary bytes to the checkpoint-journal parser.
+// Invariants: it never panics; it either fails with the typed
+// ErrJournalCorrupt sentinel or classifies the input as a verifiable
+// prefix of keyed records — which re-parses cleanly to the same records —
+// never anything in between.
 func FuzzParseJournal(f *testing.F) {
 	const hdr = `{"journal":"quicbench-sweep","version":3}` + "\n"
 	f.Add([]byte(nil))
@@ -76,19 +75,6 @@ func FuzzParseJournal(f *testing.F) {
 	f.Add(chained[:len(chained)-4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		done, err := ParseJournal(data)
-		if err != nil {
-			if !errors.Is(err, ErrJournalCorrupt) {
-				t.Fatalf("ParseJournal returned an untyped error: %v", err)
-			}
-		} else {
-			for key := range done {
-				if key == "" {
-					t.Fatal("ParseJournal returned a record with an empty key")
-				}
-			}
-		}
-
 		prefix, info, verr := ParseJournalVerified(data)
 		if verr != nil {
 			if !errors.Is(verr, ErrJournalCorrupt) {
@@ -106,11 +92,11 @@ func FuzzParseJournal(f *testing.F) {
 		}
 		// The verified prefix must itself parse cleanly and yield the same
 		// records — otherwise truncating to it would not actually recover.
-		again, aerr := ParseJournal(data[:info.GoodLen])
-		if aerr != nil {
-			t.Fatalf("verified prefix does not re-parse: %v", aerr)
+		again, ainfo, aerr := ParseJournalVerified(data[:info.GoodLen])
+		if aerr != nil || ainfo.CorruptSuffix || ainfo.TornTail || ainfo.GoodLen != info.GoodLen {
+			t.Fatalf("verified prefix does not re-parse cleanly: info %+v, err %v", ainfo, aerr)
 		}
-		if len(again) != len(prefix) {
+		if len(again) != len(prefix) || ainfo.Records != info.Records {
 			t.Fatalf("verified prefix re-parse: %d records, recovery said %d", len(again), len(prefix))
 		}
 	})

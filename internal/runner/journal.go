@@ -202,34 +202,6 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// ReadJournal replays the journal at path into a map of the last record per
-// trial key. A missing file is an empty journal (a resume of a sweep that
-// never started). An unterminated final line — the signature of a crash
-// mid-append — is tolerated and dropped; malformed or unverifiable interior
-// content is corruption and reported as an error.
-func ReadJournal(path string) (map[string]Record, error) {
-	done, _, err := ReadJournalTail(path)
-	return done, err
-}
-
-// ReadJournalTail is ReadJournal plus a truncated-tail report: truncated
-// is true when the journal ends in an unterminated line that was dropped,
-// so callers can surface a crash-recovery warning.
-func ReadJournalTail(path string) (map[string]Record, bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]Record{}, false, nil
-		}
-		return nil, false, fmt.Errorf("runner: read journal: %w", err)
-	}
-	done, truncated, err := ParseJournalTail(data)
-	if err != nil {
-		return nil, truncated, fmt.Errorf("runner: journal %s: %w", path, err)
-	}
-	return done, truncated, nil
-}
-
 // RecoveryInfo reports what journal verification found and what recovery
 // had to discard.
 type RecoveryInfo struct {
@@ -251,34 +223,6 @@ type RecoveryInfo struct {
 	// LastChain is the chain-hash state after the verified prefix, used
 	// to continue appending ("" when the prefix holds no header).
 	LastChain string
-}
-
-// ParseJournal replays raw JSONL journal bytes into a map of the last
-// record per trial key. It never panics: any malformed input — a first
-// line that is not this format's header, bad JSON, a record without a key
-// or failing its CRC or chain check — is reported as an error matching
-// ErrJournalCorrupt, with one exception: an *unterminated* final line is
-// the signature of a crash mid-write and is silently dropped (that trial
-// simply re-executes on resume). A malformed line that ends in a newline
-// was a completed write and is treated as corruption like any interior
-// damage — a clean crash never produces one.
-func ParseJournal(data []byte) (map[string]Record, error) {
-	done, _, err := ParseJournalTail(data)
-	return done, err
-}
-
-// ParseJournalTail is ParseJournal plus a truncated-tail report (see
-// ReadJournalTail).
-func ParseJournalTail(data []byte) (map[string]Record, bool, error) {
-	done, info, err := ParseJournalVerified(data)
-	if err != nil {
-		return nil, info.TornTail, err
-	}
-	if info.CorruptSuffix {
-		return nil, info.TornTail, fmt.Errorf("line %d: record fails its integrity check (crc/chain): %w",
-			info.BadLine, ErrJournalCorrupt)
-	}
-	return done, info.TornTail, nil
 }
 
 // ParseJournalVerified is the lenient, integrity-checking parser behind

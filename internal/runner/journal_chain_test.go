@@ -41,9 +41,8 @@ func runReference(t *testing.T, trials []Trial) []byte {
 	return data
 }
 
-// A flipped bit anywhere in a journal record must be caught: the strict
-// parser rejects the journal outright, and resume truncates to the
-// verified prefix, re-executes from there, and converges on a journal
+// A flipped bit anywhere in a journal record must be caught: resume
+// truncates to the verified prefix, re-executes from there, and converges on a journal
 // byte-identical to an uninterrupted run — never replaying the poisoned
 // record.
 func TestJournalBitFlipPrefixTruncated(t *testing.T) {
@@ -59,10 +58,6 @@ func TestJournalBitFlipPrefixTruncated(t *testing.T) {
 	damaged[off] ^= 0x04
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
-	}
-
-	if _, err := ParseJournal(damaged); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("strict parse of bit-flipped journal: got %v, want ErrJournalCorrupt", err)
 	}
 
 	done, info, err := RecoverJournal(path)
@@ -83,9 +78,9 @@ func TestJournalBitFlipPrefixTruncated(t *testing.T) {
 	cfg := Config{Workers: 1, sleep: noSleep, Warnf: func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}}
-	res, err := Resume(context.Background(), cfg, chainTrials(4), path)
+	res, err := RunCheckpointed(context.Background(), cfg, chainTrials(4), path, true)
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if res.Reused != 2 {
 		t.Errorf("resume reused %d records, want 2 (the verified prefix)", res.Reused)
@@ -98,7 +93,7 @@ func TestJournalBitFlipPrefixTruncated(t *testing.T) {
 	_ = warnings
 }
 
-// Resume itself (without a prior RecoverJournal call) must warn about and
+// A resume itself (without a prior RecoverJournal call) must warn about and
 // truncate a corrupt suffix.
 func TestResumeWarnsOnCorruptSuffix(t *testing.T) {
 	trials := chainTrials(3)
@@ -114,8 +109,8 @@ func TestResumeWarnsOnCorruptSuffix(t *testing.T) {
 	cfg := Config{Workers: 1, sleep: noSleep, Warnf: func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}}
-	if _, err := Resume(context.Background(), cfg, chainTrials(3), path); err != nil {
-		t.Fatalf("Resume: %v", err)
+	if _, err := RunCheckpointed(context.Background(), cfg, chainTrials(3), path, true); err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "integrity") {
 		t.Errorf("expected one integrity warning, got %q", warnings)
@@ -132,9 +127,6 @@ func TestJournalReorderDetected(t *testing.T) {
 	lines := bytes.SplitAfter(ref, []byte("\n"))
 	swapped := append(append(append(append([]byte(nil), lines[0]...), lines[2]...), lines[1]...), lines[3]...)
 
-	if _, err := ParseJournal(swapped); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("strict parse of reordered journal: got %v, want ErrJournalCorrupt", err)
-	}
 	done, info, err := ParseJournalVerified(swapped)
 	if err != nil {
 		t.Fatalf("ParseJournalVerified: %v", err)
@@ -154,14 +146,11 @@ func TestJournalDroppedRecordDetected(t *testing.T) {
 	lines := bytes.SplitAfter(ref, []byte("\n"))
 	spliced := append(append(append([]byte(nil), lines[0]...), lines[1]...), lines[3]...)
 
-	if _, err := ParseJournal(spliced); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("strict parse of spliced journal: got %v, want ErrJournalCorrupt", err)
-	}
 	_, info, err := ParseJournalVerified(spliced)
 	if err != nil {
 		t.Fatalf("ParseJournalVerified: %v", err)
 	}
-	if !info.CorruptSuffix || info.Records != 1 {
+	if !info.CorruptSuffix || info.BadLine != 3 || info.Records != 1 {
 		t.Errorf("recovery info = %+v, want 1 verified record before the splice", info)
 	}
 }
@@ -192,7 +181,7 @@ func TestJournalENOSPCTornResume(t *testing.T) {
 	cfg.Warnf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}
-	res, err := Resume(context.Background(), cfg, chainTrials(4), path)
+	res, err := RunCheckpointed(context.Background(), cfg, chainTrials(4), path, true)
 	if err != nil {
 		t.Fatalf("Resume after ENOSPC: %v", err)
 	}
@@ -216,18 +205,15 @@ var legacyJournals = map[string]string{
 }
 
 // TestJournalLegacyVersionsRejected: headerless version-1 and headered
-// version-2 input is typed corruption naming the version — by every
-// parser, never parsed on trust.
+// version-2 input is typed corruption naming the version, never parsed on
+// trust.
 func TestJournalLegacyVersionsRejected(t *testing.T) {
 	for version, data := range legacyJournals {
-		_, err := ParseJournal([]byte(data))
-		if !errors.Is(err, ErrJournalCorrupt) {
-			t.Errorf("v%s journal: ParseJournal error %v, want ErrJournalCorrupt", version, err)
+		done, _, err := ParseJournalVerified([]byte(data))
+		if !errors.Is(err, ErrJournalCorrupt) || done != nil {
+			t.Errorf("v%s journal: ParseJournalVerified returned %v, %v; want no records and ErrJournalCorrupt", version, done, err)
 		} else if !strings.Contains(err.Error(), "version "+version) {
 			t.Errorf("v%s journal: error %q does not name the version", version, err)
-		}
-		if done, _, verr := ParseJournalVerified([]byte(data)); !errors.Is(verr, ErrJournalCorrupt) || done != nil {
-			t.Errorf("v%s journal: ParseJournalVerified returned %v, %v; want no records and ErrJournalCorrupt", version, done, verr)
 		}
 	}
 }

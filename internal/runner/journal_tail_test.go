@@ -3,7 +3,6 @@ package runner
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,17 +16,21 @@ import (
 func TestJournalTerminatedMalformedFinalLineFatal(t *testing.T) {
 	data := writtenJournal(t, Record{Key: "a", Seed: 1, Outcome: OutcomeOK, Attempts: 1})
 	data = append(data, []byte("{\"key\":\"b\",\"outco\n")...) // terminated garbage
-	if _, err := ParseJournal(data); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("newline-terminated malformed final line: got %v, want ErrJournalCorrupt", err)
+	done, info, err := ParseJournalVerified(data)
+	if err != nil || !info.CorruptSuffix || info.BadLine != 3 || info.TornTail {
+		t.Fatalf("newline-terminated malformed final line: info %+v, err %v; want CorruptSuffix at line 3", info, err)
+	}
+	if _, ok := done["a"]; !ok || len(done) != 1 {
+		t.Errorf("verified prefix = %v, want just %q", done, "a")
 	}
 
 	// The same bytes without the final newline are a torn tail: tolerated.
 	torn := bytes.TrimSuffix(data, []byte("\n"))
-	done, truncated, err := ParseJournalTail(torn)
-	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
+	done, info, err = ParseJournalVerified(torn)
+	if err != nil || info.CorruptSuffix {
+		t.Fatalf("torn tail rejected: info %+v, err %v", info, err)
 	}
-	if !truncated {
+	if !info.TornTail {
 		t.Error("torn tail not reported as truncated")
 	}
 	if _, ok := done["a"]; !ok {
@@ -42,26 +45,26 @@ func TestReadJournalTailReportsTruncation(t *testing.T) {
 	if err := os.WriteFile(path, append(content[:len(content):len(content)], []byte(`{"key":"b"`)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, truncated, err := ReadJournalTail(path)
+	done, info, err := RecoverJournal(path)
 	if err != nil {
-		t.Fatalf("ReadJournalTail: %v", err)
+		t.Fatalf("RecoverJournal: %v", err)
 	}
-	if !truncated {
+	if !info.TornTail {
 		t.Error("torn tail not reported")
 	}
 	if len(done) != 1 {
 		t.Errorf("got %d records, want 1", len(done))
 	}
+	if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, content) {
+		t.Error("RecoverJournal did not cut the torn tail")
+	}
 
 	// A clean journal reports no truncation; so does a missing one.
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		t.Fatal(err)
+	if _, info, err = RecoverJournal(path); err != nil || info.TornTail {
+		t.Errorf("clean journal: torn=%v err=%v", info.TornTail, err)
 	}
-	if _, truncated, err = ReadJournalTail(path); err != nil || truncated {
-		t.Errorf("clean journal: truncated=%v err=%v", truncated, err)
-	}
-	if _, truncated, err = ReadJournalTail(filepath.Join(dir, "absent.jsonl")); err != nil || truncated {
-		t.Errorf("missing journal: truncated=%v err=%v", truncated, err)
+	if _, info, err = RecoverJournal(filepath.Join(dir, "absent.jsonl")); err != nil || info.TornTail {
+		t.Errorf("missing journal: torn=%v err=%v", info.TornTail, err)
 	}
 }
 
@@ -191,7 +194,7 @@ func TestOrderedJournalByteIdentical(t *testing.T) {
 
 	// Ordered journals also replay: a resume of the finished campaign
 	// reuses every record without touching the file.
-	res, err := Resume(context.Background(), cfg, makeTrials(false), got)
+	res, err := RunCheckpointed(context.Background(), cfg, makeTrials(false), got, true)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -55,9 +55,24 @@ const (
 	// FailInterrupted: the trial was aborted by cancellation
 	// (faults.ErrInterrupted or a context error). Not retried.
 	FailInterrupted FailKind = "interrupted"
+	// FailModel: the trial's model reported an outcome that is a pure
+	// function of its spec (see Final). Every attempt would fail the same
+	// way, so it is not retried.
+	FailModel FailKind = "model"
 	// FailError: any other trial error.
 	FailError FailKind = "error"
 )
+
+// finalError marks an error as a pure function of the trial's spec.
+type finalError struct{ error }
+
+func (e finalError) Unwrap() error { return e.error }
+
+// Final marks err as a pure function of the trial's spec — a degenerate
+// model outcome or an invalid parameter, not a crash or a timeout — so
+// Classify files it as FailModel and the supervisor stops at the first
+// attempt. The error text is err's own.
+func Final(err error) error { return finalError{err} }
 
 // TrialError is the typed failure of one trial attempt. It wraps the
 // underlying error (errors.Is/As reach through it) and, for panics, carries
@@ -164,7 +179,7 @@ type Config struct {
 	// a checkpoint journal with a torn final line from a crash).
 	Warnf func(format string, args ...any)
 	// Done maps trial keys to previously journaled records (see
-	// ReadJournal). Trials whose record is complete (ok/retried, matching
+	// RecoverJournal). Trials whose record is complete (ok/retried, matching
 	// seed, intact hash) are replayed, not re-executed.
 	Done map[string]Record
 	// OnRecord, when non-nil, observes every record (replayed or fresh) as
@@ -331,18 +346,13 @@ func Run(ctx context.Context, cfg Config, trials []Trial) (*SweepResult, error) 
 	return res, nil
 }
 
-// Resume replays the JSONL journal at path and executes only the trials it
-// does not already answer (missing, failed, or skipped records, or records
-// whose seed/hash no longer match), appending fresh records to the same
-// journal. Merged with the replayed records, the result is bit-identical to
-// an uninterrupted run of the same trials.
-func Resume(ctx context.Context, cfg Config, trials []Trial, path string) (*SweepResult, error) {
-	return RunCheckpointed(ctx, cfg, trials, path, true)
-}
-
 // RunCheckpointed runs trials against the JSONL checkpoint journal at path.
-// With resume false the journal is truncated and every trial executes; with
-// resume true it behaves like Resume.
+// With resume false the journal is truncated and every trial executes. With
+// resume true it replays the journal's verified prefix and executes only
+// the trials it does not already answer (missing, failed, or skipped
+// records, or records whose seed/hash no longer match), appending fresh
+// records to the same journal. Merged with the replayed records, the result
+// is bit-identical to an uninterrupted run of the same trials.
 func RunCheckpointed(ctx context.Context, cfg Config, trials []Trial, path string, resume bool) (*SweepResult, error) {
 	if resume {
 		done, info, err := RecoverJournal(path)
@@ -430,6 +440,9 @@ func supervise(ctx context.Context, cfg Config, tr Trial, worker int) Record {
 			return rec
 		}
 		last = terr
+		if terr.Kind == FailModel {
+			break
+		}
 		if attempt < cfg.MaxAttempts {
 			d := backoff(cfg, attempt, rng)
 			if cfg.OnRetry != nil {
@@ -474,7 +487,8 @@ func attemptOnce(ctx context.Context, tr Trial, attempt int) (raw json.RawMessag
 }
 
 // Classify maps a trial error to its failure kind: the watchdog's typed
-// aborts become timeout/interrupted, everything else is a plain error.
+// aborts become timeout/interrupted, an error marked Final becomes model,
+// everything else is a plain error.
 // Out-of-process executors use it so a child killed over a deadline and a
 // trial that timed out in-process land in the same FailKind.
 func Classify(err error) FailKind {
@@ -485,6 +499,8 @@ func Classify(err error) FailKind {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return FailInterrupted
+	case errors.As(err, new(finalError)):
+		return FailModel
 	default:
 		return FailError
 	}

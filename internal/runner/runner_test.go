@@ -271,7 +271,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 
 	// Resume from the journal with fresh trial closures.
-	res, err := Resume(context.Background(), cfg, resumeTrials(), path)
+	res, err := RunCheckpointed(context.Background(), cfg, resumeTrials(), path, true)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatalf("resumed records differ from uninterrupted run:\nwant %s\ngot  %s", want, got)
 	}
 	// And the merged journal answers a second resume without any work.
-	again, err := Resume(context.Background(), cfg, resumeTrials(), path)
+	again, err := RunCheckpointed(context.Background(), cfg, resumeTrials(), path, true)
 	if err != nil {
 		t.Fatalf("second resume: %v", err)
 	}
@@ -335,9 +335,9 @@ func TestJournalTruncatedFinalLineTolerated(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, err := ReadJournal(path)
-	if err != nil {
-		t.Fatalf("ReadJournal rejected a truncated final line: %v", err)
+	done, info, err := RecoverJournal(path)
+	if err != nil || !info.TornTail || info.CorruptSuffix {
+		t.Fatalf("RecoverJournal of a truncated final line: info %+v, err %v; want a torn tail", info, err)
 	}
 	if _, ok := done["a"]; !ok {
 		t.Error("intact record lost")
@@ -352,8 +352,8 @@ func TestJournalTruncatedFinalLineTolerated(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(path); err == nil {
-		t.Error("malformed interior line accepted")
+	if done, info, err := RecoverJournal(path); err != nil || !info.CorruptSuffix || info.BadLine != 2 || len(done) != 0 {
+		t.Errorf("malformed interior line: %d records, info %+v, err %v; want CorruptSuffix at line 2", len(done), info, err)
 	}
 }
 
@@ -393,7 +393,7 @@ func TestJournalGolden(t *testing.T) {
 }
 
 // TestJournalHeader: a fresh journal starts with the version header, and
-// ParseJournal both accepts it and refuses to misread other versions.
+// the reader both accepts it and refuses to misread other versions.
 func TestJournalHeader(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
@@ -416,9 +416,9 @@ func TestJournalHeader(t *testing.T) {
 	if !strings.Contains(first, `"journal":"quicbench-sweep"`) || !strings.Contains(first, `"version":3`) {
 		t.Errorf("first line is not the v3 header: %s", first)
 	}
-	done, err := ReadJournal(path)
-	if err != nil {
-		t.Fatalf("ReadJournal rejected its own header: %v", err)
+	done, info, err := RecoverJournal(path)
+	if err != nil || info.CorruptSuffix || info.TornTail {
+		t.Fatalf("RecoverJournal rejected its own header: info %+v, err %v", info, err)
 	}
 	if _, ok := done["a"]; !ok || len(done) != 1 {
 		t.Errorf("parsed records = %v, want just %q", done, "a")
@@ -445,7 +445,7 @@ func TestJournalVersionMismatch(t *testing.T) {
 		`{"journal":"somebody-else","version":2}`,
 	} {
 		data := []byte(hdr + "\n" + `{"key":"a","outcome":"ok","attempts":1}` + "\n")
-		if _, err := ParseJournal(data); err == nil {
+		if _, _, err := ParseJournalVerified(data); err == nil {
 			t.Errorf("header %s accepted", hdr)
 		} else if !errors.Is(err, ErrJournalCorrupt) {
 			t.Errorf("header %s: untyped error %v", hdr, err)

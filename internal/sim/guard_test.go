@@ -35,7 +35,7 @@ func TestGuardCadenceAndHalt(t *testing.T) {
 	if eng.Fired() != 30 {
 		t.Errorf("engine fired %d events after halt, want 30", eng.Fired())
 	}
-	if !eng.Halted() {
+	if !eng.halted {
 		t.Error("guard error did not halt the engine")
 	}
 }
@@ -54,17 +54,25 @@ func TestGuardNilRemoval(t *testing.T) {
 
 func TestNewTimerEValidation(t *testing.T) {
 	eng := New()
-	if _, err := NewTimerE(nil, func() {}); err == nil {
-		t.Error("nil engine accepted")
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+		fn   func()
+		want string
+	}{
+		{"nil engine", nil, func() {}, "sim: nil engine"},
+		{"nil callback", eng, nil, "sim: nil timer callback"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("%s: recovered %v, want panic %q", c.name, r, c.want)
+				}
+			}()
+			NewTimer(c.eng, c.fn)
+		}()
 	}
-	if _, err := NewTimerE(eng, nil); err == nil {
-		t.Error("nil callback accepted")
-	}
-	tm, err := NewTimerE(eng, func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.Armed() {
+	if NewTimer(eng, func() {}).Armed() {
 		t.Error("fresh timer reports armed")
 	}
 }

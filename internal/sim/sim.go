@@ -221,17 +221,6 @@ func (e *Engine) SetGuard(every uint64, g Guard) {
 // is healthy.
 func (e *Engine) Err() error { return e.err }
 
-// Pending reports how many scheduled (non-cancelled) events remain.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // EventID identifies a scheduled event so that it can be cancelled. The
 // zero EventID is invalid. IDs are generation-checked: once the event has
 // fired or been discarded (and its slot recycled), the ID goes stale and
@@ -239,12 +228,6 @@ func (e *Engine) Pending() int {
 type EventID struct {
 	ev  *event
 	gen uint64
-}
-
-// Valid reports whether the id refers to a live scheduled event (not yet
-// fired or cancelled).
-func (id EventID) Valid() bool {
-	return id.ev != nil && id.ev.gen == id.gen && !id.ev.dead
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -435,49 +418,33 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Halt stops Run/RunUntil after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // Timer is a restartable one-shot timer bound to an engine, analogous to
 // time.Timer but virtual. The zero value is unusable; create timers with
 // NewTimer.
 type Timer struct {
 	eng  *Engine
 	fn   func()
-	fire func() // pre-bound dispatch closure, built once in NewTimerE
+	fire func() // pre-bound dispatch closure, built once in NewTimer
 	id   EventID
 	at   Time
 	set  bool
 }
 
-// NewTimer returns a stopped timer that will invoke fn when it fires. It
-// panics on configuration errors; NewTimerE is the error-returning variant.
+// NewTimer returns a stopped timer that will invoke fn when it fires. A nil
+// engine or callback is a programming error and panics.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	t, err := NewTimerE(eng, fn)
-	if err != nil {
-		panic(err.Error())
-	}
-	return t
-}
-
-// NewTimerE is NewTimer with configuration validation reported as an error
-// instead of a panic.
-func NewTimerE(eng *Engine, fn func()) (*Timer, error) {
 	if eng == nil {
-		return nil, fmt.Errorf("sim: nil engine")
+		panic("sim: nil engine")
 	}
 	if fn == nil {
-		return nil, fmt.Errorf("sim: nil timer callback")
+		panic("sim: nil timer callback")
 	}
 	t := &Timer{eng: eng, fn: fn}
 	t.fire = func() {
 		t.set = false
 		t.fn()
 	}
-	return t, nil
+	return t
 }
 
 // Reset (re)arms the timer to fire at absolute time t, replacing any
@@ -489,9 +456,6 @@ func (t *Timer) Reset(at Time) {
 	t.set = true
 	t.id = t.eng.At(at, t.fire)
 }
-
-// ResetAfter (re)arms the timer to fire d after now.
-func (t *Timer) ResetAfter(d Time) { t.Reset(t.eng.Now() + d) }
 
 // Stop disarms the timer if armed.
 func (t *Timer) Stop() {
@@ -513,6 +477,3 @@ func (t *Timer) Rebind(eng *Engine) {
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool { return t.set }
-
-// Deadline returns the armed deadline; only meaningful when Armed.
-func (t *Timer) Deadline() Time { return t.at }

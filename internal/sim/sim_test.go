@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// pending counts the scheduled, non-cancelled events left in e's queue.
+func pending(e *Engine) int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.dead {
+			n++
+		}
+	}
+	return n
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	e := New()
 	if e.Now() != 0 {
@@ -159,16 +170,13 @@ func TestHaltStopsRun(t *testing.T) {
 		e.At(Time(i)*Millisecond, func() {
 			count++
 			if count == 3 {
-				e.Halt()
+				e.halted = true
 			}
 		})
 	}
 	e.Run()
 	if count != 3 {
-		t.Fatalf("executed %d events after Halt, want 3", count)
-	}
-	if !e.Halted() {
-		t.Fatal("Halted() = false after Halt")
+		t.Fatalf("executed %d events after halting, want 3", count)
 	}
 }
 
@@ -176,12 +184,12 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 	e := New()
 	id := e.At(10*Millisecond, func() {})
 	e.At(20*Millisecond, func() {})
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
+	if got := pending(e); got != 2 {
+		t.Fatalf("pending = %d, want 2", got)
 	}
 	e.Cancel(id)
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
+	if got := pending(e); got != 1 {
+		t.Fatalf("pending after cancel = %d, want 1", got)
 	}
 }
 
@@ -216,8 +224,8 @@ func TestTimerFiresOnce(t *testing.T) {
 	if !tm.Armed() {
 		t.Fatal("timer not armed after Reset")
 	}
-	if tm.Deadline() != 10*Millisecond {
-		t.Fatalf("Deadline = %v", tm.Deadline())
+	if tm.at != 10*Millisecond {
+		t.Fatalf("deadline = %v", tm.at)
 	}
 	e.Run()
 	if count != 1 {
@@ -258,7 +266,7 @@ func TestTimerResetAfter(t *testing.T) {
 	e := New()
 	var at Time
 	tm := NewTimer(e, func() { at = e.Now() })
-	e.At(5*Millisecond, func() { tm.ResetAfter(7 * Millisecond) })
+	e.At(5*Millisecond, func() { tm.Reset(e.Now() + 7*Millisecond) })
 	e.Run()
 	if at != 12*Millisecond {
 		t.Fatalf("timer fired at %v, want 12ms", at)
@@ -344,7 +352,7 @@ func TestCancelAfterFireIsStale(t *testing.T) {
 	if e.Cancel(id) {
 		t.Fatal("Cancel of a fired event returned true")
 	}
-	if id.Valid() {
+	if id.ev.gen == id.gen && !id.ev.dead {
 		t.Fatal("EventID still valid after firing")
 	}
 	// Recycle the slot with a fresh event: the stale ID must not be able
@@ -408,16 +416,16 @@ func TestHaltMidBatchPreservesRemainder(t *testing.T) {
 		e.At(5*Millisecond, func() {
 			count++
 			if count == 2 {
-				e.Halt()
+				e.halted = true
 			}
 		})
 	}
 	e.Run()
 	if count != 2 {
-		t.Fatalf("fired %d events after Halt, want 2", count)
+		t.Fatalf("fired %d events after halting, want 2", count)
 	}
-	if got := e.Pending(); got != 3 {
-		t.Fatalf("Pending after mid-batch halt = %d, want 3", got)
+	if got := pending(e); got != 3 {
+		t.Fatalf("pending after mid-batch halt = %d, want 3", got)
 	}
 }
 

@@ -35,9 +35,6 @@ func (e *Exponential) Sample() float64 {
 	return e.rng.ExpFloat64() / e.rate
 }
 
-// Rate returns the configured rate.
-func (e *Exponential) Rate() float64 { return e.rate }
-
 // BoundedPareto samples the bounded (truncated) Pareto distribution on
 // [lo, hi] with tail index alpha — the standard heavy-tailed flow-size
 // model (most flows short, a fat tail of elephants).

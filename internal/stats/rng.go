@@ -45,19 +45,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns a standard normal variate using the
-// Marsaglia polar method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	for {

@@ -94,17 +94,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // JainIndex returns Jain's fairness index of the allocations xs:
 // (Σx)² / (n·Σx²), in (0, 1] — 1 when every allocation is equal, 1/n when
 // one party takes everything. Degenerate inputs (empty, or all-zero)

@@ -40,7 +40,7 @@ var requiredFields = map[string][]string{
 	EvMetrics:     {"cwnd", "bytes_in_flight", "pacing_rate", "srtt_ms", "min_rtt_ms", "latest_rtt_ms"},
 	EvState:       {"algo", "to"},
 	EvCongestion:  {"algo", "lost_bytes", "cwnd", "persistent"},
-	EvPacketsLost: {"lost_bytes", "packets", "pkt_threshold", "time_threshold", "eager_tail", "flight_reset", "largest_lost_sent", "persistent"},
+	EvPacketsLost: {"lost_bytes", "packets", "pkt_threshold", "time_threshold", "flight_reset", "largest_lost_sent", "persistent"},
 	EvSpurious:    {"sent_at"},
 	EvRollback:    {"cwnd"},
 	EvPTO:         {"count"},

@@ -42,10 +42,6 @@ var histBounds = func() []int64 {
 	return b
 }()
 
-// HistogramBuckets returns the number of buckets in the shared schema,
-// including the overflow bucket.
-func HistogramBuckets() int { return len(histBounds) + 1 }
-
 // HistogramBound returns bucket i's inclusive upper bound, or -1 for the
 // overflow (+Inf) bucket.
 func HistogramBound(i int) int64 {

@@ -26,8 +26,8 @@ func TestHistogramBoundsSchema(t *testing.T) {
 	}
 	// The schema is wire data (beat frames carry bucket indices); pin its
 	// size so an accidental regeneration is caught, not silently shipped.
-	if HistogramBuckets() != len(histBounds)+1 {
-		t.Fatalf("HistogramBuckets() = %d, want %d", HistogramBuckets(), len(histBounds)+1)
+	if len(histBounds) != 160 {
+		t.Fatalf("schema has %d finite buckets, want 160", len(histBounds))
 	}
 }
 
@@ -194,9 +194,8 @@ func TestLoggerByteCompatAndLevels(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger(&buf, "sweep: ", false)
 	lg.Infof("worker %s joined", "w1")
-	lg.Warnf("torn tail truncated (%d bytes)", 12)
 	lg.Debugf("hidden at default level")
-	want := "sweep: worker w1 joined\nsweep: torn tail truncated (12 bytes)\n"
+	want := "sweep: worker w1 joined\n"
 	if buf.String() != want {
 		t.Fatalf("default-level output = %q, want %q", buf.String(), want)
 	}
@@ -211,6 +210,4 @@ func TestLoggerByteCompatAndLevels(t *testing.T) {
 	var nilLg *Logger
 	nilLg.Infof("must not panic")
 	nilLg.Debugf("must not panic")
-	nilLg.Warnf("must not panic")
-	nilLg.Logf(LevelWarn, "must not panic")
 }

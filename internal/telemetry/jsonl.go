@@ -65,9 +65,6 @@ func (j *JSONL) Flush() error {
 	return j.err
 }
 
-// Err reports the sticky encoding/write error.
-func (j *JSONL) Err() error { return j.err }
-
 func (j *JSONL) line(b []byte) {
 	j.buf = b[:0]
 	if _, err := j.w.Write(b); err != nil && j.err == nil {
@@ -168,8 +165,6 @@ func (j *JSONL) PacketsLost(now sim.Time, flow int, l LossSample) {
 	b = strconv.AppendInt(b, int64(l.PktThreshold), 10)
 	b = append(b, `,"time_threshold":`...)
 	b = strconv.AppendInt(b, int64(l.TimeThreshold), 10)
-	b = append(b, `,"eager_tail":`...)
-	b = strconv.AppendInt(b, int64(l.EagerTail), 10)
 	b = append(b, `,"flight_reset":`...)
 	b = strconv.AppendInt(b, int64(l.FlightReset), 10)
 	b = append(b, `,"largest_lost_sent":`...)

@@ -99,7 +99,7 @@ func TestJSONLStickyError(t *testing.T) {
 	if err := j.Flush(); err == nil {
 		t.Fatal("Flush on a failing writer returned nil")
 	}
-	if j.Err() == nil {
+	if j.err == nil {
 		t.Fatal("sticky error not retained")
 	}
 }

@@ -6,35 +6,10 @@ import (
 	"sync"
 )
 
-// Level orders log severities. The zero value is LevelInfo, so a
-// zero-configured Logger prints exactly what the pre-leveled ad-hoc
-// Logf seams printed: info and warnings, no debug chatter.
-type Level int32
-
-const (
-	LevelInfo Level = iota
-	LevelDebug
-	LevelWarn
-)
-
-// String names a level for render prefixes ("debug: " only; info and
-// warn lines keep their historical byte-exact form).
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "info"
-	}
-}
-
-// Logger is the single leveled seam behind the CLI's ad-hoc Logf/Warnf
+// Logger is the single leveled seam behind the CLI's ad-hoc Logf
 // closures. Output at the default threshold is byte-compatible with the
 // old closures — "<prefix><message>\n" — so goldens and smoke greps do
-// not churn; -v lowers the threshold to LevelDebug, which additionally
-// prints "<prefix>debug: <message>\n" lines.
+// not churn; -v additionally prints "<prefix>debug: <message>\n" lines.
 //
 // A nil *Logger is valid and silent, so callers can hand lg.Infof
 // around without nil checks at every seam.
@@ -52,7 +27,7 @@ func NewLogger(out io.Writer, prefix string, debug bool) *Logger {
 	return &Logger{out: out, prefix: prefix, debug: debug}
 }
 
-// Debugf logs at LevelDebug: suppressed unless the logger was built
+// Debugf logs a debug line: suppressed unless the logger was built
 // verbose. Lines carry a "debug: " marker after the prefix.
 func (l *Logger) Debugf(format string, args ...any) {
 	if l == nil || !l.debug {
@@ -61,35 +36,12 @@ func (l *Logger) Debugf(format string, args ...any) {
 	l.emit("debug: ", format, args)
 }
 
-// Infof logs at LevelInfo — the historical Logf behavior, byte-exact.
+// Infof logs an info line — the historical Logf behavior, byte-exact.
 func (l *Logger) Infof(format string, args ...any) {
 	if l == nil {
 		return
 	}
 	l.emit("", format, args)
-}
-
-// Warnf logs at LevelWarn. Warnings always print; the historical seams
-// never distinguished them in rendering, so neither does the default
-// format (callers put "warning:" in the message where they want it).
-func (l *Logger) Warnf(format string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.emit("", format, args)
-}
-
-// Logf routes an explicit level — the adapter for code paths that carry
-// a Level value rather than calling a named method.
-func (l *Logger) Logf(lv Level, format string, args ...any) {
-	switch lv {
-	case LevelDebug:
-		l.Debugf(format, args...)
-	case LevelWarn:
-		l.Warnf(format, args...)
-	default:
-		l.Infof(format, args...)
-	}
 }
 
 func (l *Logger) emit(marker, format string, args []any) {

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -204,14 +202,4 @@ func (r *Registry) Histograms() []HistogramSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// WriteText renders the snapshot one "name value" pair per line.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, s := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s %d\n", s.Name, s.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

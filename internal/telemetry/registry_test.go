@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -38,14 +36,6 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 		if got[name] != want {
 			t.Errorf("snapshot[%s] = %d, want %d", name, got[name], want)
 		}
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	if !strings.Contains(buf.String(), "runner.retries 3\n") {
-		t.Errorf("WriteText output missing counter: %q", buf.String())
 	}
 }
 

@@ -79,13 +79,12 @@ type Congestion struct {
 
 // LossSample aggregates one loss-detection pass, with per-trigger counts
 // (RFC 9002 packet threshold / time threshold, plus the reproduction's
-// eager-tail and flight-reset extensions).
+// flight-reset extension).
 type LossSample struct {
 	LostBytes       int
 	Packets         int
 	PktThreshold    int // packets declared lost by the reordering threshold
 	TimeThreshold   int // packets declared lost by the time threshold
-	EagerTail       int // packets declared lost by eager tail-loss probing
 	FlightReset     int // packets marked by the loss-marks-flight heuristic
 	LargestLostSent sim.Time
 	Persistent      bool

@@ -53,6 +53,3 @@ func (sr *StreamRecorder) Flush() error {
 	sr.err = sr.cw.Error()
 	return sr.err
 }
-
-// Err reports the sticky write error.
-func (sr *StreamRecorder) Err() error { return sr.err }

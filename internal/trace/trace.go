@@ -6,7 +6,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -85,72 +84,4 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return &Trace{}, nil
-	}
-	tr := &Trace{}
-	for i, row := range rows[1:] {
-		if len(row) != len(csvHeader) {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", i+2, len(row), len(csvHeader))
-		}
-		ts, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d time: %w", i+2, err)
-		}
-		flow, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d flow: %w", i+2, err)
-		}
-		seq, err := strconv.ParseInt(row[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d seq: %w", i+2, err)
-		}
-		bytes, err := strconv.Atoi(row[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d bytes: %w", i+2, err)
-		}
-		isAck, err := strconv.ParseBool(row[4])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d is_ack: %w", i+2, err)
-		}
-		var kind netem.EventKind
-		switch row[5] {
-		case "enqueue":
-			kind = netem.Enqueue
-		case "drop":
-			kind = netem.Drop
-		case "deliver":
-			kind = netem.Deliver
-		default:
-			return nil, fmt.Errorf("trace: row %d unknown kind %q", i+2, row[5])
-		}
-		queueB, err := strconv.Atoi(row[6])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d queue: %w", i+2, err)
-		}
-		soj, err := strconv.ParseFloat(row[7], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d sojourn: %w", i+2, err)
-		}
-		tr.Records = append(tr.Records, Record{
-			Time:    sim.Time(ts * float64(sim.Second)),
-			Flow:    flow,
-			Seq:     seq,
-			Bytes:   bytes,
-			IsAck:   isAck,
-			Kind:    kind,
-			QueueB:  queueB,
-			Sojourn: sim.Time(soj * float64(sim.Millisecond)),
-		})
-	}
-	return tr, nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/netem"
@@ -38,49 +37,20 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip pins WriteCSV's text for a sample trace: one header,
+// one row per record, times in seconds to the nanosecond and sojourn in
+// milliseconds to the microsecond.
 func TestCSVRoundTrip(t *testing.T) {
-	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := sampleTrace().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("round trip lost records: %d vs %d", len(got.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		a, b := tr.Records[i], got.Records[i]
-		if a.Flow != b.Flow || a.Seq != b.Seq || a.Bytes != b.Bytes ||
-			a.IsAck != b.IsAck || a.Kind != b.Kind || a.QueueB != b.QueueB {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, a, b)
-		}
-		if d := a.Time - b.Time; d < -sim.Microsecond || d > sim.Microsecond {
-			t.Fatalf("record %d time drift: %v vs %v", i, a.Time, b.Time)
-		}
-	}
-}
-
-func TestReadCSVEmpty(t *testing.T) {
-	tr, err := ReadCSV(strings.NewReader(""))
-	if err != nil || len(tr.Records) != 0 {
-		t.Fatalf("empty read: %v %v", tr, err)
-	}
-}
-
-func TestReadCSVRejectsBadRows(t *testing.T) {
-	hdr := "time_s,flow,seq,bytes,is_ack,kind,queue_bytes,sojourn_ms\n"
-	cases := []string{
-		hdr + "x,1,0,1200,false,deliver,0,0\n",
-		hdr + "1.0,x,0,1200,false,deliver,0,0\n",
-		hdr + "1.0,1,0,1200,false,exploded,0,0\n",
-		hdr + "1.0,1,0,1200,maybe,deliver,0,0\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d: bad row accepted", i)
-		}
+	const want = "time_s,flow,seq,bytes,is_ack,kind,queue_bytes,sojourn_ms\n" +
+		"1.000000000,1,0,1200,false,enqueue,1200,0.000000\n" +
+		"1.000500000,1,0,1200,false,deliver,0,0.500000\n" +
+		"2.000000000,2,0,1200,false,drop,2400,0.000000\n" +
+		"3.000000000,1,1,40,true,deliver,0,0.000000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV:\n%s\nwant:\n%s", got, want)
 	}
 }

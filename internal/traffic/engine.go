@@ -364,12 +364,6 @@ func New(cfg Config) (*Engine, error) {
 // probes scheduled by tests).
 func (e *Engine) Sim() *sim.Engine { return e.eng }
 
-// Forward exposes the bottleneck link (for packet-trace taps).
-func (e *Engine) Forward() *netem.Link { return e.fwd }
-
-// Stats returns a snapshot of the engine's lifecycle counters.
-func (e *Engine) Stats() EngineStats { return e.stats }
-
 // Active returns the number of live flows.
 func (e *Engine) Active() int { return e.active }
 

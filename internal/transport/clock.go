@@ -18,7 +18,6 @@ type Clock interface {
 // transport needs).
 type TimerHandle interface {
 	Reset(at sim.Time)
-	ResetAfter(d sim.Time)
 	Stop()
 	Armed() bool
 }

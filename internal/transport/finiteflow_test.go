@@ -43,7 +43,7 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	if *done != 1 {
 		t.Fatalf("OnComplete fired %d times, want exactly 1", *done)
 	}
-	if !snd.Completed() {
+	if !snd.completed {
 		t.Fatalf("Completed() false after OnComplete")
 	}
 	st := snd.Stats
@@ -196,11 +196,11 @@ func TestFiniteFlowSendGateProperty(t *testing.T) {
 				t.Fatalf("seed %d t=%v: sent %d > bound %d (lost %d, pto %d)",
 					seed, eng.Now(), st.BytesSent, limit, st.BytesLost, st.PTOCount)
 			}
-			if snd.Completed() {
+			if snd.completed {
 				break
 			}
 		}
-		if !snd.Completed() {
+		if !snd.completed {
 			t.Errorf("seed %d: flow never completed", seed)
 		}
 	}

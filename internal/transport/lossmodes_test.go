@@ -22,32 +22,9 @@ func ackPacket(largest int64, ranges ...netem.AckRange) *netem.Packet {
 	return &netem.Packet{Flow: 1, IsAck: true, LargestAcked: largest, Ranges: ranges}
 }
 
-func TestEagerTailLossMarksAboveLargestAcked(t *testing.T) {
-	eng := sim.New()
-	cfg := quicCfg()
-	cfg.EagerTailLoss = true
-	ctrl := cc.NewReno(cc.Config{MSS: 1200})
-	s, sent := blackholeSender(eng, cfg, ctrl)
-	s.Start()
-	eng.RunUntil(sim.Millisecond)
-	if len(*sent) < 10 {
-		t.Fatalf("sent %d", len(*sent))
-	}
-	// Ack the first packet at 10 ms to establish an RTT (srtt = 10 ms).
-	eng.At(10*sim.Millisecond, func() {
-		s.HandlePacket(ackPacket(0, netem.AckRange{Smallest: 0, Largest: 0}))
-	})
-	// By 10 ms + eager threshold (~srtt), the unacked tail (all above
-	// largestAcked=0) should be declared lost via the eager path.
-	eng.RunUntil(60 * sim.Millisecond)
-	if s.Stats.PacketsLost == 0 {
-		t.Fatal("eager tail loss never marked the stalled tail")
-	}
-}
-
 func TestStandardLossDetectionSparesTail(t *testing.T) {
 	eng := sim.New()
-	cfg := quicCfg() // EagerTailLoss off
+	cfg := quicCfg()
 	ctrl := cc.NewReno(cc.Config{MSS: 1200})
 	s, _ := blackholeSender(eng, cfg, ctrl)
 	s.Start()
@@ -55,8 +32,8 @@ func TestStandardLossDetectionSparesTail(t *testing.T) {
 	eng.At(10*sim.Millisecond, func() {
 		s.HandlePacket(ackPacket(0, netem.AckRange{Smallest: 0, Largest: 0}))
 	})
-	// Without eager marking, packets above largestAcked are not declared
-	// lost by the time threshold; only PTO probes fire.
+	// Packets above largestAcked are not declared lost by the time
+	// threshold; only PTO probes fire.
 	eng.RunUntil(40 * sim.Millisecond)
 	if s.Stats.PacketsLost != 0 {
 		t.Fatalf("standard detection marked %d tail packets lost", s.Stats.PacketsLost)
@@ -159,7 +136,7 @@ func TestReceiverHistoryCompaction(t *testing.T) {
 	for i := int64(0); i < 10000; i += 2 {
 		rx.HandlePacket(&netem.Packet{Flow: 1, Seq: i, Size: 1200})
 	}
-	if n := len(rx.Ranges()); n > 16*cfg.MaxAckRanges {
+	if n := len(rx.ranges); n > 16*cfg.MaxAckRanges {
 		t.Fatalf("range history unbounded: %d", n)
 	}
 }

@@ -174,11 +174,6 @@ func (r *Receiver) insertSeq(seq int64) {
 	r.ranges[i] = netem.AckRange{Smallest: seq, Largest: seq}
 }
 
-// Ranges exposes a copy of the received intervals (ascending) for tests.
-func (r *Receiver) Ranges() []netem.AckRange {
-	return append([]netem.AckRange(nil), r.ranges...)
-}
-
 // sendAck emits an ACK packet covering the most recent ranges.
 func (r *Receiver) sendAck() {
 	if r.largestReceived < 0 {

@@ -38,14 +38,6 @@ type SenderStats struct {
 	RTTSamples      int64
 }
 
-// RTTSample is one smoothed-RTT observation exposed to measurement code.
-type RTTSample struct {
-	Time   sim.Time
-	RTT    sim.Time
-	SRTT   sim.Time
-	MinRTT sim.Time
-}
-
 // Sender is a bulk-transfer sender: it always has data to send, subject to
 // the congestion controller's window and pacing rate. It consumes ACK
 // packets via HandlePacket.
@@ -60,7 +52,6 @@ type Sender struct {
 	largestAcked  int64
 	bytesInFlight int
 	packets       map[int64]*sentPacket
-	oldestUnacked int64
 
 	// spFree recycles sentPacket records: a bulk sender churns through one
 	// per packet, and without a free list every one is a garbage-collected
@@ -103,10 +94,8 @@ type Sender struct {
 	completed  bool
 	onComplete func()
 
-	// Stats and hooks.
+	// Stats.
 	Stats      SenderStats
-	onRTT      []func(RTTSample)
-	onCwnd     []func(t sim.Time, cwnd int, inFlight int)
 	appLimited bool
 
 	// Structured telemetry. tracer is nil when tracing is disabled — every
@@ -148,9 +137,6 @@ func NewSenderWithClock(clk Clock, cfg Config, ctrl cc.Controller, out netem.Han
 	return s
 }
 
-// Flow returns the flow id.
-func (s *Sender) Flow() int { return s.flow }
-
 // SetFlowBytes bounds the flow to the given number of application bytes
 // (0 restores the default unbounded bulk transfer). Call before Start. The
 // sender stops emitting once acked + in-flight bytes cover the flow and
@@ -164,9 +150,6 @@ func (s *Sender) SetFlowBytes(bytes int64) { s.flowBytes = bytes }
 // it. A second call replaces the hook (pooled senders re-register per
 // flow).
 func (s *Sender) OnComplete(fn func()) { s.onComplete = fn }
-
-// Completed reports whether a finite flow has been fully acknowledged.
-func (s *Sender) Completed() bool { return s.completed }
 
 // ResetFlow re-initializes a recycled sender in place for a new flow,
 // preserving the expensive-to-rebuild internals: the timer handles, the
@@ -200,7 +183,6 @@ func (s *Sender) ResetFlow(cfg Config, ctrl cc.Controller, out netem.Handler, fl
 	s.nextSeq = 0
 	s.largestAcked = -1
 	s.bytesInFlight = 0
-	s.oldestUnacked = 0
 	s.rtt = rttEstimator{}
 	s.delivered = 0
 	s.deliveredTime = 0
@@ -215,8 +197,6 @@ func (s *Sender) ResetFlow(cfg Config, ctrl cc.Controller, out netem.Handler, fl
 	s.completed = false
 	s.onComplete = nil
 	s.Stats = SenderStats{}
-	s.onRTT = s.onRTT[:0]
-	s.onCwnd = s.onCwnd[:0]
 	s.appLimited = false
 	s.tracer = nil
 	s.ssth = nil
@@ -226,23 +206,8 @@ func (s *Sender) ResetFlow(cfg Config, ctrl cc.Controller, out netem.Handler, fl
 // Controller exposes the congestion controller (for tests and tracing).
 func (s *Sender) Controller() cc.Controller { return s.ctrl }
 
-// SRTT returns the current smoothed RTT estimate (0 before any sample).
-func (s *Sender) SRTT() sim.Time { return s.rtt.srtt }
-
-// MinRTT returns the windowed minimum RTT estimate.
-func (s *Sender) MinRTT() sim.Time { return s.rtt.minRTT }
-
 // BytesInFlight returns the outstanding unacknowledged bytes.
 func (s *Sender) BytesInFlight() int { return s.bytesInFlight }
-
-// OnRTTSample registers a hook invoked on every RTT sample.
-func (s *Sender) OnRTTSample(fn func(RTTSample)) { s.onRTT = append(s.onRTT, fn) }
-
-// OnCwndSample registers a hook invoked after every ACK with the current
-// congestion window and bytes in flight.
-func (s *Sender) OnCwndSample(fn func(t sim.Time, cwnd, inFlight int)) {
-	s.onCwnd = append(s.onCwnd, fn)
-}
 
 // SetTracer attaches a structured telemetry tracer (nil disables) under
 // the sender's flow id, and forwards it to the congestion controller when
@@ -532,10 +497,6 @@ func (s *Sender) HandlePacket(pkt *netem.Packet) {
 		sample := now - largestNewly.sentAt
 		s.rtt.update(sample, pkt.AckDelay, s.cfg.MaxAckDelay)
 		s.Stats.RTTSamples++
-		rs := RTTSample{Time: now, RTT: s.rtt.latest, SRTT: s.rtt.srtt, MinRTT: s.rtt.minRTT}
-		for _, fn := range s.onRTT {
-			fn(rs)
-		}
 	}
 
 	// Round-trip accounting.
@@ -586,9 +547,6 @@ func (s *Sender) HandlePacket(pkt *netem.Packet) {
 	s.ackedScratch = ackedSeqs[:0]
 
 	s.detectLosses(now)
-	for _, fn := range s.onCwnd {
-		fn(now, s.ctrl.CWND(), s.bytesInFlight)
-	}
 	if s.tracer != nil {
 		s.emitMetrics(now)
 	}
@@ -625,10 +583,6 @@ func (s *Sender) detectLosses(now sim.Time) {
 		return
 	}
 	threshold := s.lossTimeThreshold()
-	// Eager tail marking uses the bare RTT estimate without the 9/8
-	// margin: the whole point of modelling it is that the detector is
-	// too hot.
-	eagerThreshold := threshold * timeThresholdDen / timeThresholdNum
 	var (
 		lostBytes       int
 		largestLostSent sim.Time
@@ -637,20 +591,17 @@ func (s *Sender) detectLosses(now sim.Time) {
 		earliestLossAt  sim.Time = -1
 		largestLostSeq  int64    = -1
 		// Per-trigger counts for telemetry; only maintained when tracing.
-		nPkt, nTime, nEager, nFlight int
+		nPkt, nTime, nFlight int
 	)
 	for seq, sp := range s.packets {
 		if sp.acked || sp.lost {
 			continue
 		}
-		if seq > s.largestAcked && !s.cfg.EagerTailLoss {
+		if seq > s.largestAcked {
 			continue
 		}
-		packetLost := seq <= s.largestAcked && s.largestAcked-seq >= s.cfg.PacketThreshold
+		packetLost := s.largestAcked-seq >= s.cfg.PacketThreshold
 		lossTime := sp.sentAt + threshold
-		if seq > s.largestAcked {
-			lossTime = sp.sentAt + eagerThreshold
-		}
 		timeLost := lossTime <= now
 		if packetLost || timeLost {
 			sp.lost = true
@@ -659,12 +610,9 @@ func (s *Sender) detectLosses(now sim.Time) {
 			s.Stats.PacketsLost++
 			s.Stats.BytesLost += int64(sp.bytes)
 			if s.tracer != nil {
-				switch {
-				case packetLost:
+				if packetLost {
 					nPkt++
-				case seq > s.largestAcked:
-					nEager++
-				default:
+				} else {
 					nTime++
 				}
 			}
@@ -723,10 +671,9 @@ func (s *Sender) detectLosses(now sim.Time) {
 		if s.tracer != nil {
 			s.tracer.PacketsLost(now, s.flow, telemetry.LossSample{
 				LostBytes:       lostBytes,
-				Packets:         nPkt + nTime + nEager + nFlight,
+				Packets:         nPkt + nTime + nFlight,
 				PktThreshold:    nPkt,
 				TimeThreshold:   nTime,
-				EagerTail:       nEager,
 				FlightReset:     nFlight,
 				LargestLostSent: largestLostSent,
 				Persistent:      persistent,

@@ -39,12 +39,6 @@ type Config struct {
 	AckPacketBytes int
 	// MaxAckRanges bounds the ranges carried per ACK (default 32).
 	MaxAckRanges int
-	// EagerTailLoss applies the time threshold to packets *above* the
-	// largest acknowledged packet as well (standard RFC 9002 only marks
-	// below it). Stacks with this behaviour declare tail packets lost
-	// whenever the queue delay outgrows SRTT by more than 1/8 within an
-	// RTT — marks that later prove spurious when the ACK arrives.
-	EagerTailLoss bool
 	// LossMarksFlight makes every loss event mark the entire outstanding
 	// flight as lost (a "flight reset", as stacks that treat a loss
 	// burst as losing the whole window do). The surviving packets are

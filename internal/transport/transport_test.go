@@ -174,7 +174,7 @@ func TestReceiverMergesRanges(t *testing.T) {
 	for _, seq := range []int64{0, 2, 1} { // out of order, then merge
 		rx.HandlePacket(&netem.Packet{Flow: 1, Seq: seq, Size: 1200})
 	}
-	rgs := rx.Ranges()
+	rgs := rx.ranges
 	if len(rgs) != 1 || rgs[0] != (netem.AckRange{Smallest: 0, Largest: 2}) {
 		t.Fatalf("ranges = %v, want single [0..2]", rgs)
 	}
@@ -185,7 +185,7 @@ func TestReceiverIgnoresDuplicates(t *testing.T) {
 	rx := NewReceiver(eng, quicCfg(), netem.HandlerFunc(func(*netem.Packet) {}), 1)
 	rx.HandlePacket(&netem.Packet{Flow: 1, Seq: 5, Size: 1200})
 	rx.HandlePacket(&netem.Packet{Flow: 1, Seq: 5, Size: 1200})
-	rgs := rx.Ranges()
+	rgs := rx.ranges
 	if len(rgs) != 1 || rgs[0] != (netem.AckRange{Smallest: 5, Largest: 5}) {
 		t.Fatalf("ranges = %v", rgs)
 	}
@@ -267,11 +267,11 @@ func TestSenderSeesLossesInShallowBuffer(t *testing.T) {
 func TestSenderRTTGrowsWithQueue(t *testing.T) {
 	ctrl := cc.NewCubic(cc.Config{MSS: 1200})
 	tx, _, _ := runFlow(t, ctrl, quicCfg(), 5*sim.Second)
-	if tx.MinRTT() < 10*sim.Millisecond || tx.MinRTT() > 12*sim.Millisecond {
-		t.Fatalf("minRTT = %v, want ~10ms", tx.MinRTT())
+	if tx.rtt.minRTT < 10*sim.Millisecond || tx.rtt.minRTT > 12*sim.Millisecond {
+		t.Fatalf("minRTT = %v, want ~10ms", tx.rtt.minRTT)
 	}
-	if tx.SRTT() <= tx.MinRTT() {
-		t.Fatalf("srtt %v not above minRTT %v despite standing queue", tx.SRTT(), tx.MinRTT())
+	if tx.rtt.srtt <= tx.rtt.minRTT {
+		t.Fatalf("srtt %v not above minRTT %v despite standing queue", tx.rtt.srtt, tx.rtt.minRTT)
 	}
 }
 

@@ -37,9 +37,13 @@ func isolatedTestOpts() SweepOptions {
 // journalRecords reads a checkpoint journal into its per-key records.
 func journalRecords(t *testing.T, path string) map[string]runner.Record {
 	t.Helper()
-	done, err := runner.ReadJournal(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("ReadJournal(%s): %v", path, err)
+		t.Fatal(err)
+	}
+	done, info, err := runner.ParseJournalVerified(data)
+	if err != nil || info.CorruptSuffix || info.TornTail {
+		t.Fatalf("journal %s: info %+v, err %v; want it intact", path, info, err)
 	}
 	return done
 }
